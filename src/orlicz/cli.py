@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
-from typing import Any, Optional
+from typing import Optional
 
 from . import __version__
 from . import adjoint as adjoint_mod
 from . import compop, lp, norms
-from .extreal import INF
+from .extreal import encode_json
 from .measure import SimpleFunction, radon_nikodym
 from .scenario import (
     Scenario,
@@ -34,27 +33,11 @@ from .young import conjugate as young_conjugate
 SEED_ENV = "ORLICZ_SEED"
 
 
-def _encode(x: Any) -> Any:
-    if isinstance(x, float):
-        if x == INF:
-            return "inf"
-        if x == -INF:
-            return "-inf"
-        if math.isnan(x):
-            return "nan"
-        return float(format(x, ".17g"))
-    if isinstance(x, dict):
-        return {k: _encode(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_encode(v) for v in x]
-    return x
-
-
 def _emit(report: dict, fmt: str) -> None:
     report = dict(report)
     report["version"] = __version__
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    enc = _encode(report)
+    enc = encode_json(report)
     if fmt == "structured":
         json.dump(enc, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")

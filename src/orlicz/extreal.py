@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Any, Iterable
 
 INF = math.inf
 
@@ -25,6 +25,13 @@ def xsum(terms: Iterable[float]) -> float:
     return total
 
 
+def rel_close(a: float, b: float, tol: float) -> bool:
+    """|a - b| <= tol * max(1, |a|, |b|); an infinite side must match exactly."""
+    if a == INF or b == INF:
+        return a == b
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
 def is_finite(x: float) -> bool:
     return math.isfinite(x)
 
@@ -40,3 +47,21 @@ def fmt(x: float) -> str:
     if isinstance(x, int):
         return str(x)
     return format(float(x), ".17g")
+
+
+def encode_json(x: Any) -> Any:
+    """Make a report JSON-safe: floats to 17 significant digits with inf/nan
+    spelled out, recursing through dicts, lists and tuples."""
+    if isinstance(x, float):
+        if x == INF:
+            return "inf"
+        if x == -INF:
+            return "-inf"
+        if math.isnan(x):
+            return "nan"
+        return float(format(x, ".17g"))
+    if isinstance(x, dict):
+        return {k: encode_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [encode_json(v) for v in x]
+    return x

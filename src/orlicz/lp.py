@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .compop import DomainStatus, DomainVerdict, compose_apply, density_verdict
-from .extreal import INF, xmul
+from .extreal import INF, rel_close, xmul
 from .measure import (
     SimpleFunction,
     Transformation,
@@ -82,19 +82,13 @@ def multiplication_equivalence_check(
     hp = _pointwise_power(h, 1.0 / p)
     mult = _pointwise_product(f, hp)
     rhs = lp_norm(mult, p)
-    equal = _close(lhs, rhs, rel_tol)
+    equal = rel_close(lhs, rhs, rel_tol)
     one_plus_h = SimpleFunction.constant(f.space, 1.0).plus(h)
     lhs2 = modular(PowerAbs(p), f, weight=one_plus_h)
     rhs2 = _safe_pow(lp_norm(f, p), p) + _safe_pow(lhs, p)
     return MultiplicationEquivalenceReport(
-        lhs, rhs, equal, lhs2, rhs2, _close(lhs2, rhs2, rel_tol)
+        lhs, rhs, equal, lhs2, rhs2, rel_close(lhs2, rhs2, rel_tol)
     )
-
-
-def _close(a: float, b: float, rel_tol: float) -> bool:
-    if a == INF or b == INF:
-        return a == b
-    return abs(a - b) <= rel_tol * max(1.0, abs(a), abs(b))
 
 
 def _safe_pow(x: float, p: float) -> float:
@@ -175,7 +169,7 @@ def weighted_norm_identity_check(
     j = weighted_comp_index(spec)
     lhs = _safe_pow(lp_norm(_pointwise_product(spec.u, compose_apply(f, spec.phi)), spec.q), spec.q)
     rhs = modular(PowerAbs(spec.q), f, weight=j)
-    return {"lhs": lhs, "rhs": rhs, "equal": _close(lhs, rhs, rel_tol)}
+    return {"lhs": lhs, "rhs": rhs, "equal": rel_close(lhs, rhs, rel_tol)}
 
 
 def weighted_density_verdict(spec: WeightedCompositionSpec) -> DomainVerdict:

@@ -8,9 +8,13 @@ closed-form laws, so infinite-valued phenomena stay representable.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
+import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
 from .extreal import INF, xmul, xsum
@@ -78,6 +82,9 @@ class ConstantWeights:
     def weight(self, n: int) -> float:
         return self.c
 
+    def log_weight(self, n: int) -> float:
+        return math.log(self.c)
+
     def tail_mass(self, m: int) -> float:
         return INF
 
@@ -101,6 +108,9 @@ class GeometricWeights:
 
     def weight(self, n: int) -> float:
         return self.a * self.r**n
+
+    def log_weight(self, n: int) -> float:
+        return math.log(self.a) + n * math.log(self.r)
 
     def tail_mass(self, m: int) -> float:
         return self.a * self.r ** (m + 1) / (1.0 - self.r)
@@ -126,6 +136,9 @@ class PowerLawWeights:
     def weight(self, n: int) -> float:
         return self.c * float(n) ** (-self.s)
 
+    def log_weight(self, n: int) -> float:
+        return math.log(self.c) - self.s * math.log(n)
+
     def tail_mass(self, m: int) -> float:
         if self.s <= 1.0:
             return INF
@@ -139,6 +152,12 @@ class PowerLawWeights:
 
 
 WeightLaw = Union[ConstantWeights, GeometricWeights, PowerLawWeights]
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -177,6 +196,14 @@ class FiniteSpace:
 
     def weight(self, atom: AtomId) -> float:
         return self.weights[self.index_of(atom)]
+
+    def log_weight(self, atom: AtomId) -> float:
+        return math.log(self.weight(atom))
+
+    @cached_property
+    def weight_vector(self) -> np.ndarray:
+        """Read-only float64 weights of the prefix atoms, in atom order."""
+        return _read_only(self.weights)
 
     def total_mass(self) -> float:
         return sum(self.weights)
@@ -218,6 +245,18 @@ class CountableSpace:
         if n < 1:
             raise KeyError(f"unknown atom {atom}")
         return self.law.weight(n)
+
+    def log_weight(self, atom: AtomId) -> float:
+        """log mu({n}), finite even where the weight itself underflows to 0.0."""
+        n = int(atom)
+        if n < 1:
+            raise KeyError(f"unknown atom {atom}")
+        return self.law.log_weight(n)
+
+    @cached_property
+    def weight_vector(self) -> np.ndarray:
+        """Read-only float64 weights of the prefix atoms 1..depth."""
+        return _read_only([self.law.weight(n) for n in range(1, self.depth + 1)])
 
     def total_mass(self) -> float:
         return xsum([self.law.weight(n) for n in range(1, self.depth + 1)] + [self.tail_mass()])
@@ -675,7 +714,7 @@ class Transformation:
         """Full (untruncated) preimage of the atom y: a tuple of atoms, or
         ALL_ATOMS when the law collapses everything onto y."""
         if self.space.is_finite:
-            return tuple(a for a in self.space.atoms if self.apply(a) == y)
+            return self._fibers.get(y, ())
         y = int(y)
         base = self.law.preimage(y)
         if base == ALL_ATOMS:
@@ -693,6 +732,23 @@ class Transformation:
                 ids.discard(k)
         return tuple(sorted(ids))
 
+    @cached_property
+    def _fibers(self) -> dict:
+        """Finite maps: each target atom -> its source atoms, in atom order."""
+        fibers: dict = {}
+        for a, t in zip(self.space.atoms, self.targets):
+            fibers.setdefault(t, []).append(a)
+        return {t: tuple(src) for t, src in fibers.items()}
+
+    @cached_property
+    def _fiber_mass(self) -> np.ndarray:
+        """Finite maps: mu(phi^{-1}{y}) for every atom y, summed in atom order."""
+        space = self.space
+        targets = np.fromiter((space.index_of(t) for t in self.targets), dtype=np.intp,
+                              count=len(self.targets))
+        return _read_only(np.bincount(targets, weights=space.weight_vector,
+                                      minlength=len(space.atoms)))
+
     def fiber_measure(self, y: AtomId) -> float:
         pre = self.preimage(y)
         if pre == ALL_ATOMS:
@@ -703,12 +759,17 @@ class Transformation:
             if total == INF:
                 return INF
             return total - removed
-        return sum(self.space.weight(a) for a in pre)
+        # Summed one by one in atom order, as np.bincount sums the fiber
+        # masses behind radon_nikodym, so the two agree to the last bit.
+        total = 0.0
+        for a in pre:
+            total += self.space.weight(a)
+        return total
 
     @property
     def is_bijective(self) -> bool:
         if self.space.is_finite:
-            return sorted(self.targets) == sorted(self.space.atoms)
+            return len(self._fibers) == len(self.targets)
         if not self.law.bijective:
             return False
         return all(v == self.law.apply(k) for k, v in self.overrides)
@@ -826,13 +887,8 @@ class FiberPartition:
 def fiber_partition(phi: Transformation):
     """Realize the preimage sigma-algebra of phi as a partition into fibers."""
     if phi.space.is_finite:
-        blocks = {}
-        for a in phi.space.atoms:
-            blocks.setdefault(phi.apply(a), []).append(a)
-        ordered = tuple(
-            frozenset(v) for _, v in sorted(blocks.items(), key=lambda kv: phi.space.index_of(kv[0]))
-        )
-        return Partition(phi.space, ordered)
+        fibers = phi._fibers
+        return Partition(phi.space, tuple(frozenset(fibers[y]) for y in phi.space.atoms if y in fibers))
     return FiberPartition(phi)
 
 
@@ -1035,13 +1091,14 @@ def nonsingular_check(phi: Transformation) -> Verdict:
 def radon_nikodym(phi: Transformation) -> SimpleFunction:
     """Density of mu o phi^{-1} against mu: fiber measure over atom weight."""
     space = phi.space
+    if space.is_finite:
+        h = phi._fiber_mass / space.weight_vector
+        return SimpleFunction(space, tuple(h.tolist()), None)
     vals = []
     for y in space.prefix_ids():
         fm = phi.fiber_measure(y)
         w = space.weight(y)
         vals.append(fm / w if fm != INF else INF)
-    if space.is_finite:
-        return SimpleFunction(space, tuple(vals), None)
     tail = phi.law.h_tail(space)
     patches = _h_tail_patches(phi)
     if patches:
@@ -1144,11 +1201,19 @@ def _block_average(f: SimpleFunction, block) -> float:
         if den == INF:
             return 0.0
         return num / den
-    num = 0.0
+    weights = [space.weight(a) for a in block]
     den = 0.0
+    for w in weights:
+        den += w
+    if weights and den < sys.float_info.min:
+        # The weights underflow: average against them scaled by the largest.
+        logs = [space.log_weight(a) for a in block]
+        top = max(logs)
+        weights = [math.exp(lw - top) for lw in logs]
+        den = math.fsum(weights)
+    num = 0.0
     has_pos_inf = has_neg_inf = False
-    for a in block:
-        w = space.weight(a)
+    for a, w in zip(block, weights):
         t = xmul(f.value(a), w)
         if t == INF:
             has_pos_inf = True
@@ -1156,7 +1221,6 @@ def _block_average(f: SimpleFunction, block) -> float:
             has_neg_inf = True
         else:
             num += t
-        den += w
     if has_pos_inf and has_neg_inf:
         raise ValueError("block integrates +inf against -inf")
     if has_pos_inf:

@@ -108,7 +108,7 @@ def _prefix_modular(
                 raise ValueError("modular weights must be nonnegative")
             total = xsum([total, xmul(xmul(phi(scale * v if v not in (INF, -INF) else INF), wv), w)])
         return total
-    weights = np.asarray([space.weight(a) for a in space.prefix_ids()], dtype=float)
+    weights = space.weight_vector
     with np.errstate(over="ignore", invalid="ignore"):
         terms = phi.eval_array(scale * np.abs(vals))
         if weight is not None:

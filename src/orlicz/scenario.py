@@ -8,11 +8,10 @@ Numbers serialize with 17 significant digits; infinities as the string
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .extreal import INF
+from .extreal import INF, encode_json
 from .measure import (
     CollapseLaw,
     ConstantWeights,
@@ -262,22 +261,6 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(doc)
 
 
-def _encode(x):
-    if isinstance(x, float):
-        if x == INF:
-            return "inf"
-        if x == -INF:
-            return "-inf"
-        if math.isnan(x):
-            return "nan"
-        return float(format(x, ".17g"))
-    if isinstance(x, dict):
-        return {k: _encode(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_encode(v) for v in x]
-    return x
-
-
 def serialize_scenario(sc: Scenario) -> dict:
     doc: dict = {"space": sc.space.descriptor()}
     if sc.youngs:
@@ -288,4 +271,4 @@ def serialize_scenario(sc: Scenario) -> dict:
         doc["maps"] = {k: t.descriptor() for k, t in sc.maps.items()}
     if sc.params:
         doc["params"] = dict(sc.params)
-    return _encode(doc)
+    return encode_json(doc)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import adjoint as adjoint_mod
 from . import compop, lp, measure, norms, young
-from .extreal import INF
+from .extreal import INF, rel_close
 from .measure import (
     ALL_ATOMS,
     CollapseLaw,
@@ -123,12 +123,6 @@ def random_finite_instance(rng, index: int, max_atoms: int = 50) -> Instance:
     )
 
 
-def _rel_close(a: float, b: float, tol: float) -> bool:
-    if a == INF or b == INF:
-        return a == b
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
 def _check(out: list, inst_id: str, name: str, passed: bool, detail: str = ""):
     out.append(CheckResult(inst_id, name, bool(passed), detail))
 
@@ -204,13 +198,13 @@ def norm_checks(inst: Instance) -> list[CheckResult]:
         classic = sum(abs(v) ** p * w for v, w in zip(f.values, inst.space.weights)) ** (1.0 / p)
         _check(
             out, inst.ident, "norms.pnorm_closed_form",
-            _rel_close(nf.value, classic, 2e-12), f"N={nf.value!r} vs {classic!r}",
+            rel_close(nf.value, classic, 2e-12), f"N={nf.value!r} vs {classic!r}",
         )
     atom = inst.space.atoms[0]
     chi = SimpleFunction.indicator(inst.space, [atom])
     n_chi = norms.luxemburg_norm(phi, chi).value
     oracle = 1.0 / phi.inverse(1.0 / inst.space.weight(atom))
-    _check(out, inst.ident, "norms.indicator_formula", _rel_close(n_chi, oracle, 1e-9))
+    _check(out, inst.ident, "norms.indicator_formula", rel_close(n_chi, oracle, 1e-9))
     if len(inst.space.atoms) <= 4:
         brute = norms.orlicz_norm_brute_oracle(phi, f).value
         _check(
@@ -220,7 +214,7 @@ def norm_checks(inst: Instance) -> list[CheckResult]:
             f"opt={onf.value:.8g} grid={brute:.8g}",
         )
     scal = norms.luxemburg_norm(phi, f.scaled(3.5)).value
-    _check(out, inst.ident, "norms.homogeneity", _rel_close(scal, 3.5 * nf.value, 1e-9))
+    _check(out, inst.ident, "norms.homogeneity", rel_close(scal, 3.5 * nf.value, 1e-9))
     ng = norms.luxemburg_norm(phi, inst.g).value
     nsum = norms.luxemburg_norm(phi, f.plus(inst.g)).value
     _check(out, inst.ident, "norms.triangle", nsum <= nf.value + ng + 1e-9 * max(1.0, nf.value + ng))
@@ -243,7 +237,7 @@ def measure_checks(inst: Instance) -> list[CheckResult]:
     for block in part.iter_blocks():
         lhs = sum(inst.f.value(a) * space.weight(a) for a in block)
         rhs = sum(ef.value(a) * space.weight(a) for a in block)
-        if not _rel_close(lhs, rhs, 1e-10):
+        if not rel_close(lhs, rhs, 1e-10):
             avg_ok = False
     _check(out, inst.ident, "measure.ce_averaging", avg_ok)
     g_meas = conditional_expectation(inst.g, part)
@@ -252,7 +246,7 @@ def measure_checks(inst: Instance) -> list[CheckResult]:
     rhs_f = SimpleFunction(space, tuple(a * b for a, b in zip(ef.values, g_meas.values)), None)
     _check(
         out, inst.ident, "measure.ce_pull_out",
-        all(_rel_close(a, b, 1e-10) for a, b in zip(lhs_f.values, rhs_f.values)),
+        all(rel_close(a, b, 1e-10) for a, b in zip(lhs_f.values, rhs_f.values)),
     )
     phi_f = SimpleFunction(space, tuple(phi(v) for v in inst.f.values), None)
     e_phi_f = conditional_expectation(phi_f, part)
@@ -268,7 +262,7 @@ def measure_checks(inst: Instance) -> list[CheckResult]:
     e_e = conditional_expectation(ef, part)
     _check(
         out, inst.ident, "measure.ce_idempotent",
-        all(_rel_close(a, b, 1e-12) for a, b in zip(ef.values, e_e.values)),
+        all(rel_close(a, b, 1e-12) for a, b in zip(ef.values, e_e.values)),
     )
     supp_ok = measure.support(f_abs).prefix <= measure.support(e_abs).prefix
     _check(out, inst.ident, "measure.ce_support", supp_ok)
@@ -290,7 +284,7 @@ def measure_checks(inst: Instance) -> list[CheckResult]:
         pre = [a for a in space.atoms if inst.map1.apply(a) in set(subset)]
         lhs = sum(space.weight(a) for a in pre)
         rhs = sum(h.value(a) * space.weight(a) for a in subset)
-        if not _rel_close(lhs, rhs, 1e-12):
+        if not rel_close(lhs, rhs, 1e-12):
             rn_ok = False
     _check(out, inst.ident, "measure.rn_consistency", rn_ok)
     return out
@@ -358,11 +352,11 @@ def adjoint_checks(inst: Instance) -> list[CheckResult]:
     red_ok = True
     for a in inst.space.atoms:
         pre = inst.perm.inverse_apply(a)
-        if not _rel_close(adj.value(a), h.value(a) * g.value(pre), 1e-10):
+        if not rel_close(adj.value(a), h.value(a) * g.value(pre), 1e-10):
             red_ok = False
     _check(out, inst.ident, "adjoint.bijective_reduction", red_ok)
     cons_ok = all(
-        _rel_close(h_inv.value(a) * h.value(inst.perm.apply(a)), 1.0, 1e-10)
+        rel_close(h_inv.value(a) * h.value(inst.perm.apply(a)), 1.0, 1e-10)
         for a in inst.space.atoms
     )
     _check(out, inst.ident, "adjoint.inverse_derivative_consistency", cons_ok)
@@ -399,7 +393,7 @@ def lp_checks(inst: Instance) -> list[CheckResult]:
     h = radon_nikodym(tr)
     _check(
         out, inst.ident, "lp.unit_weight_reduces_to_h",
-        all(_rel_close(a, b, 1e-10) for a, b in zip(j.values, h.values)),
+        all(rel_close(a, b, 1e-10) for a, b in zip(j.values, h.values)),
     )
     spec_u = lp.WeightedCompositionSpec(inst.u, tr, inst.p, 2.0)
     rep = lp.weighted_norm_identity_check(spec_u, f)
@@ -448,7 +442,7 @@ def corpus_checks() -> list[CheckResult]:
     rep = adjoint_mod.duality_pairing_check(phi2, tr, ff, f)
     _check(
         out, cid, "corpus.duality_25",
-        _rel_close(rep.pairing_lhs, 25.0, 1e-12) and _rel_close(rep.pairing_rhs, 25.0, 1e-12),
+        rel_close(rep.pairing_lhs, 25.0, 1e-12) and rel_close(rep.pairing_rhs, 25.0, 1e-12),
         f"lhs={rep.pairing_lhs} rhs={rep.pairing_rhs}",
     )
     u = SimpleFunction.from_dict(space, {"1": 1.0, "2": 3.0, "3": 0.0})
@@ -460,7 +454,7 @@ def corpus_checks() -> list[CheckResult]:
         norms.luxemburg_norm(phi2, compop.compose_apply(chi1, tr)).value
         / norms.luxemburg_norm(phi2, chi1).value
     )
-    _check(out, cid, "corpus.opnorm_probe_sqrt2", _rel_close(ratio, math.sqrt(2.0), 1e-9), f"{ratio}")
+    _check(out, cid, "corpus.opnorm_probe_sqrt2", rel_close(ratio, math.sqrt(2.0), 1e-9), f"{ratio}")
     f_n, diag = compop.truncation_approximants(phi2, tr, ff, 2)
     _check(out, cid, "corpus.truncation_set", tuple(f_n.values) == (0.0, 2.0, 0.0), str(f_n.values))
 
@@ -474,7 +468,7 @@ def corpus_checks() -> list[CheckResult]:
     dv = compop.density_verdict(phi2, collapse_geo)
     hgeo = radon_nikodym(collapse_geo)
     _check(out, cid, "corpus.geometric_collapse_densely_defined", dv.densely_defined)
-    _check(out, cid, "corpus.geometric_collapse_h", _rel_close(hgeo.values[0], 2.0, 1e-12))
+    _check(out, cid, "corpus.geometric_collapse_h", rel_close(hgeo.values[0], 2.0, 1e-12))
 
     const = CountableSpace(ConstantWeights(1.0), depth=64)
     collapse_const = Transformation.from_law(const, CollapseLaw(1))

@@ -24,6 +24,7 @@ from orlicz import (
     Transformation,
     conditional_expectation,
     exhaustion,
+    fiber_average,
     fiber_partition,
     inverse_rn,
     iterated_rn,
@@ -33,7 +34,7 @@ from orlicz import (
     support,
     weighted_measure,
 )
-from orlicz.measure import Partition
+from orlicz.measure import DivCeilLaw, Partition
 from orlicz.verdicts import Status
 
 INF = math.inf
@@ -365,3 +366,85 @@ class TestSupport:
             f = SimpleFunction(uniform3, vals, None)
             ef = conditional_expectation(f, part)
             assert support(f).prefix <= support(ef).prefix
+
+
+class TestIndexedCore:
+    """The fiber index and the weight vector on a seeded 500-atom space,
+    against numpy bincount references; targets avoid the last 50 atoms so
+    some fibers are empty."""
+
+    N = 500
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(20221114)
+        ids = tuple(f"x{i:03d}" for i in range(self.N))
+        w = 10.0 ** rng.uniform(-3.0, 3.0, self.N)
+        t = rng.integers(0, self.N - 50, self.N)
+        f = rng.uniform(-10.0, 10.0, self.N)
+        space = FiniteSpace(ids, tuple(float(x) for x in w))
+        tr = Transformation(space, targets=tuple(ids[i] for i in t))
+        return space, tr, SimpleFunction(space, tuple(float(x) for x in f)), w, t, f
+
+    def test_rn_and_fiber_measure_match_bincount_exactly(self, case):
+        space, tr, _, w, t, _ = case
+        mass = np.bincount(t, weights=w, minlength=self.N)
+        assert radon_nikodym(tr).values == tuple((mass / w).tolist())
+        assert [tr.fiber_measure(a) for a in space.atoms] == mass.tolist()
+
+    def test_block_averages_match_bincount_means(self, case):
+        space, tr, f_fn, w, t, f = case
+        mass = np.bincount(t, weights=w, minlength=self.N)
+        num = np.bincount(t, weights=f * w, minlength=self.N)
+        hit = mass > 0
+        means = np.where(hit, num / np.where(hit, mass, 1.0), 0.0)
+        assert fiber_average(f_fn, tr).values == tuple(means.tolist())
+        ce = conditional_expectation(f_fn, fiber_partition(tr)).values
+        assert ce == pytest.approx(means[t].tolist(), rel=1e-12, abs=1e-12)
+
+    def test_preimage_of_unhit_atom_is_empty(self, case):
+        space, tr, _, _, t, _ = case
+        missed = [a for i, a in enumerate(space.atoms) if i not in set(t.tolist())]
+        assert missed and all(tr.preimage(a) == () for a in missed)
+        assert tr.fiber_measure(missed[0]) == 0.0
+        hit = space.atoms[int(t[0])]
+        assert tr.preimage(hit) == tuple(a for a, j in zip(space.atoms, t) if j == t[0])
+
+    def test_is_bijective(self, case):
+        space, tr, _, _, _, _ = case
+        perm = np.random.default_rng(5).permutation(self.N)
+        assert Transformation(space, targets=tuple(space.atoms[i] for i in perm)).is_bijective
+        assert not tr.is_bijective
+
+    def test_fiber_partition_blocks_in_target_order(self, case):
+        space, tr, _, _, t, _ = case
+        hit = sorted(set(t.tolist()))
+        blocks = fiber_partition(tr).blocks
+        assert blocks == tuple(frozenset(a for a, j in zip(space.atoms, t) if j == i) for i in hit)
+
+    @pytest.mark.parametrize("space", [
+        FiniteSpace(("a", "b", "c"), (0.5, 2.0, 1e-300)),
+        CountableSpace(GeometricWeights(1.5, 0.3), depth=40),
+        CountableSpace(PowerLawWeights(2.0, 1.5), depth=40),
+    ])
+    def test_weight_vector_read_only_and_exact(self, space):
+        vec = space.weight_vector
+        assert vec.dtype == np.float64 and vec is space.weight_vector
+        assert vec.tolist() == [space.weight(a) for a in space.prefix_ids()]
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+
+
+class TestBlockAverageUnderflow:
+    def test_fiber_average_where_fiber_weights_underflow(self):
+        # ceil(n/3) fibers of y > 358 lie beyond n = 1074, where 0.5**n is 0.0.
+        space = CountableSpace(GeometricWeights(1.0, 0.5), depth=512)
+        vals = tuple(float((n % 7) - 3) for n in range(1, 513))
+        g = SimpleFunction(space, vals, GeometricTail(1.0, 0.5))
+        tr = Transformation.from_law(space, DivCeilLaw(3))
+        avg = fiber_average(g, tr)
+        for y in (1, 200, 400, 512):
+            fiber = range(3 * y - 2, 3 * y + 1)
+            scaled = [0.5 ** (n - fiber[0]) for n in fiber]
+            want = sum(g.value(n) * s for n, s in zip(fiber, scaled)) / sum(scaled)
+            assert avg.value(y) == pytest.approx(want, rel=1e-12, abs=1e-15)
