@@ -280,6 +280,33 @@ def cmd_verify(args) -> int:
     return 0 if rep.ok else 1
 
 
+def _global_flags(suppress: bool) -> argparse.ArgumentParser:
+    """The flags every command accepts, before or after the subcommand.
+
+    Subparsers get them with ``suppress`` set, so a flag left out after the
+    subcommand does not overwrite the value given (or defaulted) before it.
+    """
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--tol", type=float, default=default(1e-12),
+                       help="solver tolerance (default 1e-12)")
+    flags.add_argument("--depth", type=int, default=default(None), help="truncation depth override")
+    flags.add_argument(
+        "--seed", type=int, default=default(int(os.environ.get(SEED_ENV, "42"))),
+        help=f"random seed (default 42; env {SEED_ENV} overrides)",
+    )
+    flags.add_argument(
+        "--range", type=str, default=default(None), help="probe interval lo:hi (default 1e-6:1e6)"
+    )
+    flags.add_argument(
+        "--format", choices=("text", "structured"), default=default("text"),
+        help="report format (default text)",
+    )
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orlicz",
@@ -288,52 +315,43 @@ def build_parser() -> argparse.ArgumentParser:
             "composition-operator domains, adjoints, and a property-based "
             "verification suite."
         ),
-    )
-    default_seed = int(os.environ.get(SEED_ENV, "42"))
-    parser.add_argument("--tol", type=float, default=1e-12, help="solver tolerance (default 1e-12)")
-    parser.add_argument("--depth", type=int, default=None, help="truncation depth override")
-    parser.add_argument(
-        "--seed", type=int, default=default_seed,
-        help=f"random seed (default 42; env {SEED_ENV} overrides)",
-    )
-    parser.add_argument(
-        "--range", type=str, default=None, help="probe interval lo:hi (default 1e-6:1e6)"
-    )
-    parser.add_argument(
-        "--format", choices=("text", "structured"), default="text",
-        help="report format (default text)",
+        parents=[_global_flags(suppress=False)],
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = _global_flags(suppress=True)
 
-    p = sub.add_parser("norm", help="Luxemburg and Orlicz norms of a scenario function")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, parents=[flags])
+
+    p = command("norm", "Luxemburg and Orlicz norms of a scenario function")
     p.add_argument("function")
     p.add_argument("--scenario", required=True)
     p.add_argument("--young", default=None, help="name in the scenario or inline family:args")
     p.set_defaults(fn=cmd_norm)
 
-    p = sub.add_parser("conjugate", help="analytic complementary function")
+    p = command("conjugate", "analytic complementary function")
     p.add_argument("--young", required=True)
     p.set_defaults(fn=cmd_conjugate)
 
-    p = sub.add_parser("hderiv", help="Radon-Nikodym derivative of a map")
+    p = command("hderiv", "Radon-Nikodym derivative of a map")
     p.add_argument("map")
     p.add_argument("--scenario", required=True)
     p.set_defaults(fn=cmd_hderiv)
 
-    p = sub.add_parser("density", help="dense-definedness trichotomy for a map")
+    p = command("density", "dense-definedness trichotomy for a map")
     p.add_argument("map")
     p.add_argument("--scenario", required=True)
     p.add_argument("--young", default=None)
     p.set_defaults(fn=cmd_density)
 
-    p = sub.add_parser("domain", help="operator-domain membership of a function")
+    p = command("domain", "operator-domain membership of a function")
     p.add_argument("function")
     p.add_argument("--scenario", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--young", default=None)
     p.set_defaults(fn=cmd_domain)
 
-    p = sub.add_parser("approximate", help="truncation approximants and diagnostics")
+    p = command("approximate", "truncation approximants and diagnostics")
     p.add_argument("function")
     p.add_argument("--scenario", required=True)
     p.add_argument("--map", required=True)
@@ -341,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-index", type=int, default=64)
     p.set_defaults(fn=cmd_approximate)
 
-    p = sub.add_parser("bounded", help="boundedness versus everywhere-definedness")
+    p = command("bounded", "boundedness versus everywhere-definedness")
     p.add_argument("map")
     p.add_argument("--scenario", required=True)
     p.add_argument("--young", default=None)
     p.set_defaults(fn=cmd_bounded)
 
-    p = sub.add_parser("lp-check", help="p-th power specialization checks")
+    p = command("lp-check", "p-th power specialization checks")
     p.add_argument("--scenario", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--p", type=float, default=2.0)
@@ -356,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", default=None)
     p.set_defaults(fn=cmd_lp_check)
 
-    p = sub.add_parser("adjoint-check", help="adjoint formula and duality pairing")
+    p = command("adjoint-check", "adjoint formula and duality pairing")
     p.add_argument("--scenario", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--young", default=None)
@@ -364,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dual-function", required=True, help="dual-side element")
     p.set_defaults(fn=cmd_adjoint_check)
 
-    p = sub.add_parser("verify", help="run the full verification suite")
+    p = command("verify", "run the full verification suite")
     p.add_argument("--count", type=int, default=200, help="random instances (default 200)")
     p.add_argument("--scenarios", nargs="*", default=None, help="extra scenario files")
     p.set_defaults(fn=cmd_verify)

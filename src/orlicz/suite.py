@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -276,7 +277,7 @@ def measure_checks(inst: Instance) -> list[CheckResult]:
     o_f = norms.orlicz_norm(phi, inst.f).value
     _check(out, inst.ident, "measure.ce_orlicz_contraction", o_ef <= o_f * (1.0 + 1e-9) + 1e-9)
     h = radon_nikodym(inst.map1)
-    rng = np.random.default_rng(abs(hash(inst.ident)) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(inst.ident.encode()))
     rn_ok = True
     for _ in range(6):
         mask = rng.random(len(space.atoms)) < 0.5

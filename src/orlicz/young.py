@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import lambertw
 
 from .extreal import INF
 from .verdicts import ConsistencyError
@@ -366,9 +365,24 @@ class XLogX(YoungFunction):
             return INF
         if y <= 0.0:
             return 1.0
-        # Solve x ln x - x + 1 = y via the principal Lambert W branch.
-        w = lambertw((y - 1.0) / math.e).real
-        return math.exp(w + 1.0)
+        # Halley steps on t = x - 1 > 0 for F(t) = (1 + t) log1p(t) - t - y,
+        # from t = sqrt(2y) near the branch point (F ~ t^2/2) and from the
+        # Lambert W asymptote x = (y - 1) / W((y - 1)/e), W(z) ~ ln z - ln ln z.
+        if y < 4.0:
+            t = math.sqrt(2.0 * y)
+        else:
+            z = (y - 1.0) / math.e
+            w = math.log(z) - math.log(math.log(z)) if z > math.e else math.log1p(z)
+            t = (y - 1.0) / w - 1.0
+        for _ in range(8):
+            lg = math.log1p(t)
+            f = (1.0 + t) * lg - t - y
+            step = f / (lg - f / (2.0 * (1.0 + t) * lg))
+            t = t - step if step < t else 0.5 * t
+            # x = 1 + t carries an absolute precision of ulp(x); stop there.
+            if abs(step) <= 2.0**-50 * (1.0 + t):
+                break
+        return 1.0 + t
 
     def derivative(self, x: float) -> float:
         return math.log(x) if x > 1.0 else 0.0

@@ -220,6 +220,22 @@ class TestCliCommands:
         assert rep["report"]["within_tolerance"] is True
         assert rep["params"]["probe_range"] == "1e-4:1e4"
 
+    def test_global_flags_after_subcommand(self, capsys):
+        def report(argv):
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [ln for ln in lines if not ln.startswith(("timestamp:", "suite.elapsed_seconds:"))]
+
+        after = report(["verify", "--count", "2", "--seed", "7"])
+        assert after == report(["--seed", "7", "verify", "--count", "2"])
+        assert "params.seed: 7" in after
+
+    def test_flag_before_subcommand_survives(self, capsys):
+        assert main(["--format", "structured", "--seed", "3", "conjugate", "--young", "power_abs:2",
+                     "--tol", "1e-9"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["params"] == {"format": "structured", "seed": 3, "tol": 1e-9}
+
 
 class TestConsoleScript:
     def test_module_invocation(self):

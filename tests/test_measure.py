@@ -448,3 +448,41 @@ class TestBlockAverageUnderflow:
             scaled = [0.5 ** (n - fiber[0]) for n in fiber]
             want = sum(g.value(n) * s for n, s in zip(fiber, scaled)) / sum(scaled)
             assert avg.value(y) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+class TestHashSeedIndependence:
+    # A seeded 200-atom space cut into 5 explicit blocks of string atoms.
+    CODE = """
+import numpy as np
+from orlicz import FiniteSpace, SimpleFunction, conditional_expectation
+from orlicz.measure import Partition
+rng = np.random.default_rng(20221114)
+ids = tuple(f"x{i:03d}" for i in range(200))
+space = FiniteSpace(ids, tuple(float(w) for w in 10.0 ** rng.uniform(-3, 3, 200)))
+label = rng.integers(0, 5, 200)
+blocks = tuple(frozenset(a for a, k in zip(ids, label) if k == b) for b in range(5))
+f = SimpleFunction(space, tuple(float(v) for v in rng.uniform(-1, 1, 200)))
+print(repr(conditional_expectation(f, Partition(space, blocks)).values))
+"""
+
+    def test_explicit_partition_average_ignores_hash_seed(self, run_python):
+        outs = {run_python(self.CODE, hash_seed) for hash_seed in range(4)}
+        assert len(outs) == 1
+
+
+class TestHurwitzZeta:
+    """PowerLawWeights(1, s).tail_mass(m) is zeta(s, m + 1). The oracle adds
+    the first K terms exactly rounded (math.fsum) to the midpoint tail
+    sum_{k >= n} k**-s ~ c**(1-s)/(s-1) - s c**(-s-1)/24 at c = n - 1/2,
+    whose error, about 7 s**4 c**(-s-3)/5760, is far below 1e-14 here."""
+
+    K = 20000
+
+    @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 3.0, 6.0, 20.0])
+    @pytest.mark.parametrize("m", [0, 50, 64, 512])
+    def test_tail_mass_matches_direct_sum(self, s, m):
+        terms = (np.arange(m + 1, m + 1 + self.K, dtype=float) ** -s).tolist()
+        c = m + 1 + self.K - 0.5
+        tail = c ** (1.0 - s) / (s - 1.0) - s * c ** (-s - 1.0) / 24.0
+        want = math.fsum(terms + [tail])
+        assert PowerLawWeights(1.0, s).tail_mass(m) == pytest.approx(want, rel=1e-14, abs=0.0)

@@ -63,3 +63,14 @@ def test_scenario_battery_included():
     # Scenario-derived checks contribute to the total.
     rep_plain = verify_suite(seed=2, count=1, minimize=False)
     assert rep.total_checks > rep_plain.total_checks
+
+
+def test_suite_report_independent_of_hash_seed(run_python):
+    code = (
+        "import json\n"
+        "from orlicz.suite import verify_suite\n"
+        "rep = verify_suite(seed=11, count=3).to_dict()\n"
+        "rep.pop('elapsed_seconds')\n"
+        "print(json.dumps(rep, sort_keys=True))\n"
+    )
+    assert run_python(code, hash_seed=1) == run_python(code, hash_seed=2)

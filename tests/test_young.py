@@ -361,3 +361,23 @@ class TestSumBounds:
         v = delta_prime_probe(PowerAbs(2.5))
         assert v.holds
         assert delta2_probe(PowerAbs(2.5)).holds
+
+
+class TestXLogXInverse:
+    @pytest.mark.parametrize("y", [1e-300, 1e-17])
+    def test_finite_near_zero(self, y):
+        x = XLogX().inverse(y)
+        assert math.isfinite(x) and x >= 1.0
+
+    def test_round_trip_on_log_grid(self):
+        psi = XLogX()
+        for y in np.logspace(-12, 300, 937):
+            x = psi.inverse(float(y))
+            # Near x = 1, phi(x) ~ (x - 1)**2 / 2 is computed with an absolute
+            # error of a few ulp(1), and x itself is only known to ulp(x), so a
+            # purely relative 1e-13 is out of reach for y below about 1e-2.
+            assert abs(psi(x) - y) <= 1e-13 * y + 4.0 * math.ulp(x)
+
+
+def test_import_does_not_load_scipy(run_python):
+    assert run_python("import sys, orlicz; print('scipy' in sys.modules)").strip() == "False"
