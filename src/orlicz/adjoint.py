@@ -49,21 +49,7 @@ def adjoint_apply(
     dv = density_verdict(phi_fn, phi)
     if not dv.densely_defined:
         raise PreconditionError("adjoint requires a densely defined operator")
-    h = radon_nikodym(phi)
-    e_g = fiber_average(g, phi)
-    vals = tuple(xmul(hv, ev) for hv, ev in zip(h.values, e_g.values))
-    space = g.space
-    if space.is_finite:
-        return SimpleFunction(space, vals, None)
-    ht, et = h.tail, e_g.tail
-    sup = xmul(ht.sup(), et.sup()) if (ht.sup() != INF and et.sup() != INF) else INF
-    tail = PointwiseTail(
-        lambda n: xmul(ht.value_at(n), et.value_at(n)),
-        sup_bound=sup,
-        finite=ht.all_finite()[0] and et.all_finite()[0],
-        name="adjoint",
-    )
-    return SimpleFunction(space, vals, tail)
+    return radon_nikodym(phi).times(fiber_average(g, phi))
 
 
 @dataclass(frozen=True)
@@ -140,31 +126,25 @@ def adjoint_density_index(
     h_inv = inverse_rn(phi)
     space = phi.space
 
-    def index_at(prefix_idx: int, atom) -> float:
+    def psi_h_at(atom) -> float:
         hp = h.value(phi.apply(atom))
-        val = psi(hp) if hp != INF else INF
-        return 1.0 + xmul(h_inv.values[prefix_idx] if prefix_idx >= 0 else h_inv.value(atom), val)
+        return psi(hp) if hp != INF else INF
 
-    vals = tuple(index_at(i, a) for i, a in enumerate(space.prefix_ids()))
-    if space.is_finite:
-        j = SimpleFunction(space, vals, None)
-    else:
-        ht, hit = h.tail, h_inv.tail
-
-        def tail_at(n: int) -> float:
-            hp = h.value(phi.apply(n))
-            val = psi(hp) if hp != INF else INF
-            return 1.0 + xmul(hit.value_at(n), val)
-
-        sup = INF
-        if ht.sup() != INF and hit.sup() != INF:
-            sup = 1.0 + hit.sup() * psi(ht.sup())
-        j = SimpleFunction(
-            space,
-            vals,
-            PointwiseTail(tail_at, sup_bound=sup, finite=ht.all_finite()[0] and hit.all_finite()[0],
-                          name="adjoint_index"),
+    # The chain weight h_{-1} * psi(h o phi); the index is 1 + chain.
+    chain_tail = None
+    if not space.is_finite:
+        hit = h_inv.tail
+        # phi can send tail atoms into the prefix, so bound h o phi by sup h
+        # over every atom, not by the tail's sup.
+        sh, shi = h.sup_abs(), hit.sup()
+        chain_tail = PointwiseTail(
+            lambda n: xmul(hit.value_at(n), psi_h_at(n)),
+            sup_bound=xmul(shi, psi(sh)) if (sh != INF and shi != INF) else INF,
+            finite=h.tail.all_finite()[0] and hit.all_finite()[0],
+            name="chain_weight",
         )
+    chain = SimpleFunction(space, tuple(xmul(hv, psi_h_at(a)) for a, hv in h_inv.items()), chain_tail)
+    j = SimpleFunction.constant(space, 1.0).plus(chain)
     finite, witness = j.all_finite()
     verdict = (
         Verdict(Status.HOLDS, "index finite at every atom: adjoint densely defined")
@@ -186,22 +166,7 @@ def adjoint_density_index(
         adj = adjoint_apply(phi_fn, phi, g)
         lhs = modular(psi, adj)
         # Chain bound: psi(adjoint g) <= d * psi(g) * h_{-1} * psi(h o phi).
-        rhs_weight_vals = tuple(
-            xmul(h_inv.values[i], psi(h.value(phi.apply(a))))
-            for i, a in enumerate(space.prefix_ids())
-        )
-        rhs_weight = SimpleFunction(
-            space,
-            rhs_weight_vals,
-            None
-            if space.is_finite
-            else PointwiseTail(
-                lambda n: xmul(h_inv.tail.value_at(n), psi(h.value(phi.apply(n)))),
-                sup_bound=INF,
-                name="chain_weight",
-            ),
-        )
-        rhs = d_const * modular(psi, g, weight=rhs_weight)
+        rhs = d_const * modular(psi, g, weight=chain)
         below_threshold = x0 > 0.0 and any(
             0.0 < abs(v) < x0 or 0.0 < h.value(phi.apply(a)) < x0
             for a, v in g.items()

@@ -18,9 +18,7 @@ import numpy as np
 
 from .extreal import INF
 from .measure import (
-    ALL_ATOMS,
     CollapseLaw,
-    CountableSpace,
     DivCeilLaw,
     IdentityLaw,
     PairSwapLaw,
@@ -762,13 +760,6 @@ class BoundednessVerdict:
         }
 
 
-def _sup_h(h: SimpleFunction) -> float:
-    s = max(h.values, default=0.0)
-    if not h.space.is_finite:
-        s = max(s, h.tail.sup())
-    return s
-
-
 def boundedness_verdict(
     phi_fn: YoungFunction, phi: Transformation, probe_count: int = 8
 ) -> BoundednessVerdict:
@@ -779,7 +770,7 @@ def boundedness_verdict(
     if not dv.densely_defined:
         raise PreconditionError("boundedness analysis requires a densely defined operator")
     h = radon_nikodym(phi)
-    sup_h = _sup_h(h)
+    sup_h = h.sup_abs()  # h >= 0
     probes = _probe_ratios(phi_fn, phi, probe_count)
     if sup_h < INF:
         bound = max(1.0, sup_h)

@@ -5,16 +5,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .compop import DomainStatus, DomainVerdict, compose_apply, density_verdict
-from .extreal import INF, rel_close, xmul
+from .extreal import INF, rel_close
 from .measure import (
     SimpleFunction,
     Transformation,
     fiber_average,
     radon_nikodym,
-    sigma_finite_check,
 )
 from .norms import modular
-from .tails import PointwiseTail, ZeroTail
 from .verdicts import ConsistencyError, Status, Verdict
 from .young import PowerAbs
 
@@ -79,9 +77,7 @@ def multiplication_equivalence_check(
     the p-th powers satisfy |f|_p^p + |f o phi|_p^p = integral of |f|^p (1+h)."""
     h = radon_nikodym(phi)
     lhs = lp_norm(compose_apply(f, phi), p)
-    hp = _pointwise_power(h, 1.0 / p)
-    mult = _pointwise_product(f, hp)
-    rhs = lp_norm(mult, p)
+    rhs = lp_norm(f.times(h.power(1.0 / p)), p)
     equal = rel_close(lhs, rhs, rel_tol)
     one_plus_h = SimpleFunction.constant(f.space, 1.0).plus(h)
     lhs2 = modular(PowerAbs(p), f, weight=one_plus_h)
@@ -93,39 +89,6 @@ def multiplication_equivalence_check(
 
 def _safe_pow(x: float, p: float) -> float:
     return INF if x == INF else x**p
-
-
-def _pointwise_power(f: SimpleFunction, e: float) -> SimpleFunction:
-    from .tails import ConstantTail, GeometricTail
-
-    vals = tuple(INF if v == INF else abs(v) ** e for v in f.values)
-    if f.space.is_finite:
-        return SimpleFunction(f.space, vals, None)
-    t = f.tail
-    if t.is_zero():
-        tail = ZeroTail()
-    elif isinstance(t, ConstantTail):
-        tail = ConstantTail(INF if t.value == INF else abs(t.value) ** e)
-    elif isinstance(t, GeometricTail):
-        tail = GeometricTail(abs(t.coeff) ** e, t.ratio**e)
-    else:
-        fin, _ = t.all_finite()
-        tail = PointwiseTail(
-            lambda n: INF if t.value_at(n) == INF else abs(t.value_at(n)) ** e,
-            sup_bound=INF if t.sup() == INF else t.sup() ** e,
-            finite=fin,
-            name="power",
-        )
-    return SimpleFunction(f.space, vals, tail)
-
-
-def _pointwise_product(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
-    from .tails import tail_product
-
-    vals = tuple(xmul(a, b) for a, b in zip(f.values, g.values))
-    if f.space.is_finite:
-        return SimpleFunction(f.space, vals, None)
-    return SimpleFunction(f.space, vals, tail_product(f.tail, g.tail))
 
 
 def lp_density_verdict(phi: Transformation, p: float) -> DomainVerdict:
@@ -156,10 +119,7 @@ def weighted_comp_index(spec: WeightedCompositionSpec) -> SimpleFunction:
     """The density h * E(|u|^q over fibers) assigned at fiber images: the
     weighted composition operator has the same q-norm as multiplication by
     its q-th root."""
-    u_q = _pointwise_power(spec.u, spec.q)
-    e_uq = fiber_average(u_q, spec.phi)
-    h = radon_nikodym(spec.phi)
-    return _pointwise_product(h, e_uq)
+    return radon_nikodym(spec.phi).times(fiber_average(spec.u.power(spec.q), spec.phi))
 
 
 def weighted_norm_identity_check(
@@ -167,7 +127,7 @@ def weighted_norm_identity_check(
 ) -> dict:
     """On finite instances: |u * (f o phi)|_q^q equals the J-weighted q-modular."""
     j = weighted_comp_index(spec)
-    lhs = _safe_pow(lp_norm(_pointwise_product(spec.u, compose_apply(f, spec.phi)), spec.q), spec.q)
+    lhs = _safe_pow(lp_norm(spec.u.times(compose_apply(f, spec.phi)), spec.q), spec.q)
     rhs = modular(PowerAbs(spec.q), f, weight=j)
     return {"lhs": lhs, "rhs": rhs, "equal": rel_close(lhs, rhs, rel_tol)}
 

@@ -26,7 +26,10 @@ from .tails import (
     TailLaw,
     UnresolvedTail,
     ZeroTail,
+    tail_power,
+    tail_product,
     tail_scale,
+    tail_sum,
 )
 from .verdicts import ConsistencyError, Status, Verdict
 
@@ -326,6 +329,8 @@ class SimpleFunction:
         n = len(self.space.prefix_ids())
         if len(self.values) != n:
             raise ValueError(f"expected {n} prefix values, got {len(self.values)}")
+        if any(map(math.isnan, self.values)):
+            raise ValueError("function values must not be NaN")
         if self.space.is_finite:
             if self.tail is not None:
                 raise ValueError("finite spaces carry no tail law")
@@ -390,27 +395,21 @@ class SimpleFunction:
         tail = None if self.space.is_finite else tail_scale(self.tail, c)
         return SimpleFunction(self.space, tuple(xmul(c, v) for v in self.values), tail)
 
+    def times(self, other: "SimpleFunction") -> "SimpleFunction":
+        """The pointwise product self * other, with 0 * inf = 0."""
+        if other.space != self.space:
+            raise ValueError("functions live on different spaces")
+        vals = tuple(xmul(a, b) for a, b in zip(self.values, other.values))
+        tail = None if self.space.is_finite else tail_product(self.tail, other.tail)
+        return SimpleFunction(self.space, vals, tail)
+
+    def power(self, e: float) -> "SimpleFunction":
+        """|self|**e for e > 0."""
+        tail = None if self.space.is_finite else tail_power(self.tail, e)
+        return SimpleFunction(self.space, tuple(abs(v) ** e for v in self.values), tail)
+
     def abs(self) -> "SimpleFunction":
-        if self.space.is_finite:
-            return SimpleFunction(self.space, tuple(abs(v) for v in self.values), None)
-        t = self.tail
-        if isinstance(t, ZeroTail):
-            tail: TailLaw = t
-        elif isinstance(t, ConstantTail):
-            tail = ConstantTail(abs(t.value))
-        elif isinstance(t, GeometricTail):
-            tail = GeometricTail(abs(t.coeff), t.ratio)
-        elif isinstance(t, SparseGeometricTail):
-            tail = SparseGeometricTail(t.base, abs(t.coeff), t.growth, t.start)
-        else:
-            db = t.decay_block()
-            tail = PointwiseTail(
-                lambda n: abs(t.value_at(n)), sup_bound=t.sup(),
-                finite=t.all_finite()[0], block=db[0] if db else None,
-                block_ratio=db[1] if db else None, block_from=t.decay_from(),
-                major_fn=t.major_at, name="abs",
-            )
-        return SimpleFunction(self.space, tuple(abs(v) for v in self.values), tail)
+        return self.power(1.0)
 
     def plus(self, other: "SimpleFunction", alpha: float = 1.0, beta: float = 1.0) -> "SimpleFunction":
         """alpha*self + beta*other."""
@@ -419,8 +418,7 @@ class SimpleFunction:
         vals = tuple(alpha * a + beta * b for a, b in zip(self.values, other.values))
         if self.space.is_finite:
             return SimpleFunction(self.space, vals, None)
-        ta, tb = tail_scale(self.tail, alpha), tail_scale(other.tail, beta)
-        tail = _tail_sum(ta, tb)
+        tail = tail_sum(tail_scale(self.tail, alpha), tail_scale(other.tail, beta))
         return SimpleFunction(self.space, vals, tail)
 
     def minus(self, other: "SimpleFunction") -> "SimpleFunction":
@@ -439,43 +437,6 @@ class SimpleFunction:
         if not self.space.is_finite:
             out["tail"] = self.tail.descriptor()
         return out
-
-
-def _tail_sum(a: TailLaw, b: TailLaw) -> TailLaw:
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    if isinstance(a, ConstantTail) and isinstance(b, ConstantTail):
-        return ConstantTail(a.value + b.value)
-    if isinstance(a, GeometricTail) and isinstance(b, GeometricTail) and a.ratio == b.ratio:
-        return GeometricTail(a.coeff + b.coeff, a.ratio)
-    if isinstance(b, PatchedTail) and not isinstance(a, PatchedTail):
-        a, b = b, a
-    if isinstance(a, PatchedTail):
-        base = _tail_sum(a.base, b)
-        patches = tuple((n, v + b.value_at(n)) for n, v in a.patches)
-        return PatchedTail(base, patches)
-    da, db = a.decay_block(), b.decay_block()
-    block = block_ratio = None
-    block_from = 0
-    if da and db:
-        # The decay certificate lives on the cancellation-free majorant
-        # |a| + |b|; over B = Ba*Bb steps both components contract.
-        block = da[0] * db[0]
-        block_ratio = max(da[1] ** db[0], db[1] ** da[0])
-        block_from = max(a.decay_from(), b.decay_from())
-    sup = a.sup() + b.sup()
-    return PointwiseTail(
-        lambda n: a.value_at(n) + b.value_at(n),
-        sup_bound=sup,
-        finite=a.all_finite()[0] and b.all_finite()[0],
-        block=block,
-        block_ratio=block_ratio,
-        block_from=block_from,
-        major_fn=lambda n: a.major_at(n) + b.major_at(n),
-        name="sum",
-    )
 
 
 # ---------------------------------------------------------------------------

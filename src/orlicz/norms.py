@@ -20,16 +20,15 @@ from .measure import (
     _certified_series,
     _sparse_series,
     _tail_integral_bounds,
+    _tail_signed_integral,
 )
 from .tails import (
     ConstantTail,
-    GeometricTail,
     PatchedTail,
-    PointwiseTail,
     SparseGeometricTail,
     TailLaw,
     UnresolvedTail,
-    ZeroTail,
+    tail_product,
 )
 from .young import YoungFunction
 
@@ -577,8 +576,6 @@ def holder_pairing(f: SimpleFunction, g: SimpleFunction) -> float:
     ft, gt = f.tail, g.tail
     if ft.is_zero() or gt.is_zero():
         return total
-    from .tails import tail_product
-    from .measure import _tail_signed_integral
 
     prod = tail_product(f.abs().tail, g.abs().tail)
     lo, hi = _tail_integral_bounds(prod, space)

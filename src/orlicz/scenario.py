@@ -85,7 +85,7 @@ def _num(x, where: str) -> float:
         if x == "-inf":
             return -INF
         raise ScenarioError(f"{where}: bad number {x!r}")
-    if not isinstance(x, (int, float)):
+    if not isinstance(x, (int, float)) or x != x:
         raise ScenarioError(f"{where}: bad number {x!r}")
     return float(x)
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .extreal import INF
+from .extreal import INF, xmul
 
 __all__ = [
     "UnresolvedTail",
@@ -25,7 +25,9 @@ __all__ = [
     "PointwiseTail",
     "PatchedTail",
     "tail_scale",
+    "tail_sum",
     "tail_product",
+    "tail_power",
 ]
 
 
@@ -210,7 +212,8 @@ class SparseGeometricTail(TailLaw):
     def sup(self) -> float:
         if self.coeff == 0.0:
             return 0.0
-        return INF if self.growth >= 1.0 else abs(self.coeff) * self.growth**self.start
+        g = abs(self.growth)
+        return INF if g >= 1.0 else abs(self.coeff) * g**self.start
 
     def support_in(self, lo, hi):
         k = max(self.start, int(math.ceil(math.log(max(lo + 1, 2), self.base) - 1e-12)))
@@ -340,10 +343,10 @@ class PatchedTail(TailLaw):
 
 
 def tail_scale(tail: TailLaw, c: float) -> TailLaw:
-    """The law of c * f on the tail."""
+    """The law of c * f on the tail (c finite)."""
     if c == 0.0 or tail.is_zero():
         return ZeroTail()
-    if isinstance(tail, ZeroTail):
+    if c == 1.0 or isinstance(tail, ZeroTail):
         return tail
     if isinstance(tail, ConstantTail):
         return ConstantTail(c * tail.value)
@@ -371,22 +374,60 @@ def tail_scale(tail: TailLaw, c: float) -> TailLaw:
     raise UnresolvedTail(f"cannot scale tail law {tail!r}")
 
 
+def tail_sum(a: TailLaw, b: TailLaw) -> TailLaw:
+    """The law of the pointwise sum on the tail."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    if isinstance(a, ConstantTail) and isinstance(b, ConstantTail):
+        return ConstantTail(a.value + b.value)
+    if isinstance(a, GeometricTail) and isinstance(b, GeometricTail) and a.ratio == b.ratio:
+        return GeometricTail(a.coeff + b.coeff, a.ratio)
+    if isinstance(b, PatchedTail) and not isinstance(a, PatchedTail):
+        a, b = b, a
+    if isinstance(a, PatchedTail):
+        return PatchedTail(tail_sum(a.base, b), tuple((n, v + b.value_at(n)) for n, v in a.patches))
+    da, db = a.decay_block(), b.decay_block()
+    block = block_ratio = None
+    block_from = 0
+    if da and db:
+        # The decay certificate lives on the cancellation-free majorant
+        # |a| + |b|; over B = Ba*Bb steps both components contract.
+        block = da[0] * db[0]
+        block_ratio = max(da[1] ** db[0], db[1] ** da[0])
+        block_from = max(a.decay_from(), b.decay_from())
+    return PointwiseTail(
+        lambda n: a.value_at(n) + b.value_at(n),
+        sup_bound=a.sup() + b.sup(),
+        finite=a.all_finite()[0] and b.all_finite()[0],
+        block=block,
+        block_ratio=block_ratio,
+        block_from=block_from,
+        major_fn=lambda n: a.major_at(n) + b.major_at(n),
+        name="sum",
+    )
+
+
 def tail_product(a: TailLaw, b: TailLaw) -> TailLaw:
-    """The law of the pointwise product on the tail."""
+    """The law of the pointwise product on the tail, with 0 * inf = 0."""
     if a.is_zero() or b.is_zero():
         return ZeroTail()
-    if isinstance(a, ConstantTail):
-        return tail_scale(b, a.value) if a.value != INF else _pointwise_product(a, b)
-    if isinstance(b, ConstantTail):
-        return tail_scale(a, b.value) if b.value != INF else _pointwise_product(a, b)
-    if isinstance(a, GeometricTail) and isinstance(b, GeometricTail):
+    if isinstance(b, PatchedTail) and not isinstance(a, PatchedTail):
+        a, b = b, a
+    if isinstance(a, PatchedTail):
+        # Patches stay exact, so a finitely supported factor keeps the
+        # product finitely supported.
+        return PatchedTail(
+            tail_product(a.base, b), tuple((n, xmul(v, b.value_at(n))) for n, v in a.patches)
+        )
+    if isinstance(a, ConstantTail) and math.isfinite(a.value):
+        return tail_scale(b, a.value)
+    if isinstance(b, ConstantTail) and math.isfinite(b.value):
+        return tail_scale(a, b.value)
+    if isinstance(a, GeometricTail) and isinstance(b, GeometricTail) and a.ratio * b.ratio > 0.0:
         return GeometricTail(a.coeff * b.coeff, a.ratio * b.ratio)
-    return _pointwise_product(a, b)
-
-
-def _pointwise_product(a: TailLaw, b: TailLaw) -> PointwiseTail:
-    sup = a.sup() * b.sup() if (a.sup() != INF and b.sup() != INF) else INF
-    fa, fb = a.all_finite()[0], b.all_finite()[0]
+    sa, sb = a.sup(), b.sup()
     da, db = a.decay_block(), b.decay_block()
     block = block_ratio = None
     block_from = 0
@@ -397,12 +438,44 @@ def _pointwise_product(a: TailLaw, b: TailLaw) -> PointwiseTail:
         block_ratio = da[1] ** db[0] * db[1] ** da[0]
         block_from = max(a.decay_from(), b.decay_from())
     return PointwiseTail(
-        lambda n: a.value_at(n) * b.value_at(n),
-        sup_bound=sup,
-        finite=fa and fb,
+        lambda n: xmul(a.value_at(n), b.value_at(n)),
+        sup_bound=sa * sb if (sa != INF and sb != INF) else INF,
+        finite=a.all_finite()[0] and b.all_finite()[0],
         block=block,
         block_ratio=block_ratio,
         block_from=block_from,
-        major_fn=lambda n: a.major_at(n) * b.major_at(n),
+        major_fn=lambda n: xmul(a.major_at(n), b.major_at(n)),
         name="product",
+    )
+
+
+def tail_power(t: TailLaw, e: float) -> TailLaw:
+    """The law of |f|**e on the tail (e > 0); e = 1 is |f|."""
+    if e <= 0.0:
+        raise ValueError("tail_power requires e > 0")
+    if t.is_zero():
+        return ZeroTail()
+    if isinstance(t, ConstantTail):
+        return ConstantTail(abs(t.value) ** e)
+    if isinstance(t, GeometricTail) and 0.0 < t.ratio**e < 1.0:
+        return GeometricTail(abs(t.coeff) ** e, t.ratio**e)
+    if isinstance(t, IndexPowerTail):
+        return IndexPowerTail(abs(t.coeff) ** e, t.exponent * e)
+    if isinstance(t, SparseGeometricTail):
+        return SparseGeometricTail(t.base, abs(t.coeff) ** e, abs(t.growth) ** e, t.start)
+    if isinstance(t, PatchedTail):
+        return PatchedTail(tail_power(t.base, e), tuple((n, abs(v) ** e) for n, v in t.patches))
+    db = t.decay_block()
+    # |f|**e keeps the majorant's block decay with ratio q**e (while q**e
+    # stays a usable certificate, i.e. does not underflow).
+    keep = db is not None and db[1] ** e > 0.0
+    return PointwiseTail(
+        lambda n: abs(t.value_at(n)) ** e,
+        sup_bound=t.sup() ** e,
+        finite=t.all_finite()[0],
+        block=db[0] if keep else None,
+        block_ratio=db[1] ** e if keep else None,
+        block_from=t.decay_from(),
+        major_fn=lambda n: t.major_at(n) ** e,
+        name="power",
     )

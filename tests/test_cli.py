@@ -246,3 +246,22 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "scaled_power" in proc.stdout
+
+
+class TestNanRefused:
+    DOC = '{"space": {"kind": "finite", "atoms": [["a", 1.0], ["b", 1.0]]}, "functions": {"f": {"values": {"a": NaN}}}}'
+
+    def test_parse_refuses_nan(self):
+        with pytest.raises(ScenarioError, match="bad number"):
+            parse_scenario(json.loads(self.DOC))
+
+    def test_cli_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(self.DOC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "orlicz.cli", "norm", "f", "--scenario", str(path), "--young", "power_abs:2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "bad number" in proc.stderr
+        assert "Traceback" not in proc.stderr

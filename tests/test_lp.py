@@ -178,3 +178,14 @@ class TestWeightedDensity:
         u = SimpleFunction.constant(uniform3, 1.0)
         with pytest.raises(ValueError):
             WeightedCompositionSpec(u, collapse3, 0.5, 2.0)
+
+    def test_zero_weight_on_collapse_into_the_tail(self):
+        # h is +inf at the tail atom 20; the index multiplies it by the zero
+        # fiber average there, and 0 * inf = 0 keeps the index finite.
+        sp = CountableSpace(ConstantWeights(1.0), depth=8)
+        zero = SimpleFunction.constant(sp, 0.0)
+        for target in (3, 20):
+            spec = WeightedCompositionSpec(zero, Transformation.from_law(sp, CollapseLaw(target)), 2.0, 2.0)
+            dv = weighted_density_verdict(spec)
+            assert dv.status is DomainStatus.DENSELY_DEFINED, target
+            assert weighted_comp_index(spec).value(20) == 0.0

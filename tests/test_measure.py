@@ -486,3 +486,29 @@ class TestHurwitzZeta:
         tail = c ** (1.0 - s) / (s - 1.0) - s * c ** (-s - 1.0) / 24.0
         want = math.fsum(terms + [tail])
         assert PowerLawWeights(1.0, s).tail_mass(m) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+class TestPointwiseAlgebra:
+    def test_abs_keeps_finite_support(self):
+        from orlicz import PowerAbs, dual_ball_membership, modular
+        from orlicz.tails import PatchedTail, ZeroTail
+
+        sp = CountableSpace(ConstantWeights(1.0), depth=8)
+        g = SimpleFunction(sp, (0.1,) * 8, PatchedTail(ZeroTail(), ((12, -0.2),)))
+        assert g.abs().tail == PatchedTail(ZeroTail(), ((12, 0.2),))
+        assert modular(PowerAbs(2.0), g.abs()) == modular(PowerAbs(2.0), g)
+        assert modular(PowerAbs(2.0), g) == pytest.approx(0.12, rel=1e-15)
+        assert dual_ball_membership(PowerAbs(2.0), g) is True
+
+    def test_times_and_power_match_prefix_arithmetic(self, uniform3):
+        f = SimpleFunction(uniform3, (0.0, -2.0, INF), None)
+        g = SimpleFunction(uniform3, (INF, 3.0, 0.5), None)
+        assert f.times(g).values == (0.0, -6.0, INF)
+        assert f.power(0.5).values == (0.0, 2.0**0.5, INF)
+        assert f.abs().values == (0.0, 2.0, INF)
+
+    def test_nan_values_refused(self, uniform3, geo):
+        with pytest.raises(ValueError, match="NaN"):
+            SimpleFunction(uniform3, (math.nan, 0.0, 1.0), None)
+        with pytest.raises(ValueError, match="NaN"):
+            SimpleFunction.from_dict(geo, {1: math.nan})
