@@ -357,6 +357,11 @@ class SimpleFunction:
             vals[space.index_of(atom)] = 1.0
         return SimpleFunction(space, tuple(vals), None if space.is_finite else ZeroTail())
 
+    @cached_property
+    def value_vector(self) -> np.ndarray:
+        """Read-only float64 prefix values, in atom order."""
+        return _read_only(self.values)
+
     def value(self, atom: AtomId) -> float:
         if self.space.is_finite:
             return self.values[self.space.index_of(atom)]
@@ -392,6 +397,9 @@ class SimpleFunction:
         return s
 
     def scaled(self, c: float) -> "SimpleFunction":
+        """c * self, with 0 * inf = 0."""
+        if math.isnan(c):
+            raise ValueError("scale factor must not be NaN")
         tail = None if self.space.is_finite else tail_scale(self.tail, c)
         return SimpleFunction(self.space, tuple(xmul(c, v) for v in self.values), tail)
 

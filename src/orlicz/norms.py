@@ -96,8 +96,8 @@ def _prefix_modular(
     phi: YoungFunction, f: SimpleFunction, scale: float, weight: Optional[SimpleFunction]
 ) -> float:
     space = f.space
-    vals = np.asarray(f.values, dtype=float)
-    if not np.all(np.isfinite(vals)) or (weight is not None and not np.all(np.isfinite(weight.values))):
+    vals = f.value_vector
+    if not np.all(np.isfinite(vals)) or (weight is not None and not np.all(np.isfinite(weight.value_vector))):
         # Extended values take the careful scalar path.
         total = 0.0
         for i, (a, v) in enumerate(f.items()):
@@ -111,7 +111,7 @@ def _prefix_modular(
     with np.errstate(over="ignore", invalid="ignore"):
         terms = phi.eval_array(scale * np.abs(vals))
         if weight is not None:
-            wv = np.asarray(weight.values, dtype=float)
+            wv = weight.value_vector
             if np.any(wv < 0):
                 raise ValueError("modular weights must be nonnegative")
             # 0 * inf = 0 in either direction, matching the scalar path.

@@ -343,32 +343,32 @@ class PatchedTail(TailLaw):
 
 
 def tail_scale(tail: TailLaw, c: float) -> TailLaw:
-    """The law of c * f on the tail (c finite)."""
+    """The law of c * f on the tail, with 0 * inf = 0."""
     if c == 0.0 or tail.is_zero():
         return ZeroTail()
     if c == 1.0 or isinstance(tail, ZeroTail):
         return tail
     if isinstance(tail, ConstantTail):
-        return ConstantTail(c * tail.value)
+        return ConstantTail(xmul(c, tail.value))
     if isinstance(tail, GeometricTail):
-        return GeometricTail(c * tail.coeff, tail.ratio)
+        return GeometricTail(xmul(c, tail.coeff), tail.ratio)
     if isinstance(tail, IndexPowerTail):
-        return IndexPowerTail(c * tail.coeff, tail.exponent)
+        return IndexPowerTail(xmul(c, tail.coeff), tail.exponent)
     if isinstance(tail, SparseGeometricTail):
-        return SparseGeometricTail(tail.base, c * tail.coeff, tail.growth, tail.start)
+        return SparseGeometricTail(tail.base, xmul(c, tail.coeff), tail.growth, tail.start)
     if isinstance(tail, PatchedTail):
-        return PatchedTail(tail_scale(tail.base, c), tuple((n, c * v) for n, v in tail.patches))
+        return PatchedTail(tail_scale(tail.base, c), tuple((n, xmul(c, v)) for n, v in tail.patches))
     if isinstance(tail, PointwiseTail):
         f = tail.fn
         maj = tail.major_fn
         return PointwiseTail(
-            lambda n: c * f(n),
-            sup_bound=abs(c) * tail.sup_bound,
+            lambda n: xmul(c, f(n)),
+            sup_bound=xmul(abs(c), tail.sup_bound),
             finite=tail.finite,
             block=tail.block,
             block_ratio=tail.block_ratio,
             block_from=tail.block_from,
-            major_fn=(lambda n: abs(c) * maj(n)) if maj is not None else None,
+            major_fn=(lambda n: xmul(abs(c), maj(n))) if maj is not None else None,
             name=tail.name,
         )
     raise UnresolvedTail(f"cannot scale tail law {tail!r}")

@@ -49,6 +49,16 @@ DEFAULT_GRID_PER_DECADE = 512
 _LOG_OVERFLOW = 700.0
 
 
+def _abs_array(x) -> np.ndarray:
+    """|x| as a float array with at least one dimension."""
+    return np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
+
+
+def _shaped(x, out: np.ndarray):
+    """``out`` in the form of the argument ``x``: a float for a scalar."""
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
 class YoungFunction:
     """Base interface. Instances are immutable and safe to share across threads."""
 
@@ -86,14 +96,11 @@ class YoungFunction:
         """sup{x >= 0 : value(x) == 0}; 0 for functions vanishing only at the origin."""
         return 0.0
 
-    def log_value(self, x: float) -> float:
-        """ln(value(x)) computed stably; -inf where the value is 0."""
-        v = self(x)
-        if v == 0.0:
-            return -INF
-        if v == INF:
-            return INF
-        return math.log(v)
+    def log_value(self, x):
+        """ln(value(|x|)) elementwise over an array, computed stably: -inf
+        where the value is 0, +inf where it is +inf. A float gives a float."""
+        with np.errstate(divide="ignore"):
+            return _shaped(x, np.log(self.eval_array(_abs_array(x))))
 
     def as_power(self) -> Optional[Tuple[float, float]]:
         """(coeff, p) when the function is exactly coeff*|x|**p, else None."""
@@ -151,11 +158,9 @@ class PowerAbs(YoungFunction):
             return 0.0 if v < 1.0 else INF
         return (v / self.p) ** (1.0 / (self.p - 1.0))
 
-    def log_value(self, x: float) -> float:
-        x = abs(x)
-        if x == 0.0:
-            return -INF
-        return self.p * math.log(x)
+    def log_value(self, x):
+        with np.errstate(divide="ignore"):
+            return _shaped(x, self.p * np.log(_abs_array(x)))
 
     def as_power(self):
         return (1.0, self.p)
@@ -206,11 +211,9 @@ class PowerOverP(YoungFunction):
     def inv_subgradient(self, v: float) -> float:
         return v ** (1.0 / (self.p - 1.0))
 
-    def log_value(self, x: float) -> float:
-        x = abs(x)
-        if x == 0.0:
-            return -INF
-        return self.p * math.log(x) - math.log(self.p)
+    def log_value(self, x):
+        with np.errstate(divide="ignore"):
+            return _shaped(x, self.p * np.log(_abs_array(x)) - math.log(self.p))
 
     def as_power(self):
         return (1.0 / self.p, self.p)
@@ -269,11 +272,9 @@ class ScaledPower(YoungFunction):
             return 0.0 if v < self.coeff else INF
         return (v / (self.coeff * self.p)) ** (1.0 / (self.p - 1.0))
 
-    def log_value(self, x: float) -> float:
-        x = abs(x)
-        if x == 0.0:
-            return -INF
-        return math.log(self.coeff) + self.p * math.log(x)
+    def log_value(self, x):
+        with np.errstate(divide="ignore"):
+            return _shaped(x, math.log(self.coeff) + self.p * np.log(_abs_array(x)))
 
     def as_power(self):
         return (self.coeff, self.p)
@@ -324,13 +325,13 @@ class ExpMinusOne(YoungFunction):
     def inv_subgradient(self, v: float) -> float:
         return math.log(v) if v > 1.0 else 0.0
 
-    def log_value(self, x: float) -> float:
-        x = abs(x)
-        if x == 0.0:
-            return -INF
-        if x > 40.0:
-            return x + math.log1p(-math.exp(-x))
-        return math.log(math.expm1(x))
+    def log_value(self, x):
+        a = _abs_array(x)
+        # Each branch sees only its own side of 40, so neither overflows.
+        near, far = np.minimum(a, 40.0), np.maximum(a, 40.0)
+        with np.errstate(divide="ignore"):
+            out = np.where(a > 40.0, far + np.log1p(-np.exp(-far)), np.log(np.expm1(near)))
+        return _shaped(x, out)
 
     def label(self) -> str:
         return "exp_minus_one"
@@ -670,7 +671,8 @@ def young_inequality_gap(phi: YoungFunction, x: float, y: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Growth-condition probes (all ratio arithmetic is done in log space so the
-# exponential family cannot overflow its way into a wrong verdict)
+# exponential family cannot overflow its way into a wrong verdict; each grid
+# is evaluated as one array)
 # ---------------------------------------------------------------------------
 
 
@@ -817,6 +819,18 @@ def _classify_grid(
     )
 
 
+def _log_constants(num: np.ndarray, den: np.ndarray, diff: np.ndarray):
+    """Per-point log constants K for lhs <= K * rhs, and the hard violations.
+
+    ``num`` and ``den`` are ln lhs and ln rhs, ``diff`` their difference
+    where ``den`` is finite. A vanishing rhs admits only a vanishing lhs; an
+    infinite rhs is vacuous (constant 1); otherwise an infinite lhs is a hard
+    violation and the constant is ``diff``.
+    """
+    hard = (den != INF) & ((num == INF) | ((den == -INF) & (num != -INF)))
+    return np.where(hard, INF, np.where(np.isfinite(den), diff, 0.0)), hard
+
+
 def delta2_probe(
     phi: YoungFunction,
     probe_range: tuple[float, float] = DEFAULT_PROBE_RANGE,
@@ -827,34 +841,22 @@ def delta2_probe(
     lo, hi = probe_range
     xs = _log_grid(lo, hi, grid_per_decade)
     n = len(xs)
-    log_ratio = np.empty(n)
-    hard = np.zeros(n, dtype=bool)
-    for i, x in enumerate(xs):
-        den = phi.log_value(float(x))
-        num = phi.log_value(2.0 * float(x))
-        if den == -INF:
-            if num == -INF:
-                log_ratio[i] = 0.0
-            else:
-                log_ratio[i] = INF
-                hard[i] = True
-        elif den == INF:
-            log_ratio[i] = 0.0  # both sides infinite: vacuous
-        elif num == INF:
-            log_ratio[i] = INF
-            hard[i] = True
-        else:
-            log_ratio[i] = num - den
+    num, den = phi.log_value(2.0 * xs), phi.log_value(xs)
+    with np.errstate(invalid="ignore"):
+        log_ratio, hard = _log_constants(num, den, num - den)
     return _classify_grid(
         xs, xs, log_ratio, hard, lo, hi, divergence_threshold, n,
         "doubling ratio exceeds the divergence threshold and grows across the last decade",
     )
 
 
-def _pair_grid(lo: float, hi: float, grid_per_decade: int) -> np.ndarray:
+def _pair_grid(phi: YoungFunction, lo: float, hi: float, grid_per_decade: int):
+    """The subsampled pair grid xs, its log values, and the index arrays
+    (i, j) of the pairs i <= j in row-major order."""
     # Pair probes square the grid; subsample to keep the search tractable.
-    per = max(grid_per_decade // 64, 4)
-    return _log_grid(lo, hi, per)
+    xs = _log_grid(lo, hi, max(grid_per_decade // 64, 4))
+    i, j = np.triu_indices(len(xs))
+    return xs, phi.log_value(xs), i, j
 
 
 def delta_prime_probe(
@@ -868,40 +870,16 @@ def delta_prime_probe(
     A success is cross-checked against the doubling probe, which it implies.
     """
     lo, hi = probe_range
-    xs = _pair_grid(lo, hi, grid_per_decade)
+    xs, lv, i, j = _pair_grid(phi, lo, hi, grid_per_decade)
     n = len(xs)
-    lv = np.array([phi.log_value(float(x)) for x in xs])
-    pts = []
-    logs = []
-    hard = []
-    for i in range(n):
-        for j in range(i, n):
-            num = phi.log_value(float(xs[i] * xs[j]))
-            la, lb = lv[i], lv[j]
-            h = False
-            if la == -INF or lb == -INF:
-                # rhs vanishes: only a vanishing lhs survives
-                val = 0.0 if num == -INF else INF
-                h = num != -INF
-            elif la == INF or lb == INF:
-                val = 0.0  # rhs infinite: vacuous
-            elif num == INF:
-                val = INF
-                h = True
-            else:
-                val = num - la - lb
-            pts.append(min(float(xs[i]), float(xs[j])))
-            logs.append(val)
-            hard.append(h)
+    num = phi.log_value(xs[i] * xs[j])
+    la, lb = lv[i], lv[j]
+    with np.errstate(invalid="ignore"):
+        # value(x) * value(y) vanishes as soon as one factor does.
+        den = np.where((la == -INF) | (lb == -INF), -INF, la + lb)
+        logs, hard = _log_constants(num, den, num - la - lb)
     verdict = _classify_grid(
-        xs,
-        np.array(pts),
-        np.array(logs),
-        np.array(hard, dtype=bool),
-        lo,
-        hi,
-        divergence_threshold,
-        n * n,
+        xs, xs[i], logs, hard, lo, hi, divergence_threshold, n * n,
         "product ratio grows without bound along the diagonal",
     )
     if verdict.holds:
@@ -925,42 +903,38 @@ def nabla_prime_probe(
     b(x,y) = inverse(value(x) * value(y)) / (x*y).
     """
     lo, hi = probe_range
-    xs = _pair_grid(lo, hi, grid_per_decade)
+    xs, lv, ii, jj = _pair_grid(phi, lo, hi, grid_per_decade)
     n = len(xs)
-    lv = np.array([phi.log_value(float(x)) for x in xs])
-    pts = []
     logs = []
     hard = []
-    for i in range(n):
-        for j in range(i, n):
-            la, lb = lv[i], lv[j]
-            h = False
-            if la == -INF or lb == -INF:
-                val = -INF  # rhs vanishes: b = 0 suffices at this pair
-            elif la == INF or lb == INF:
-                # rhs infinite: need value(bxy) = inf, possible only for
-                # families that actually take the value inf
-                need = phi.inverse(INF)
-                if need == INF:
-                    val = INF
-                    h = True
-                else:
-                    val = math.log(need / (float(xs[i]) * float(xs[j])))
+    for i, j in zip(ii, jj):
+        la, lb = lv[i], lv[j]
+        h = False
+        if la == -INF or lb == -INF:
+            val = -INF  # rhs vanishes: b = 0 suffices at this pair
+        elif la == INF or lb == INF:
+            # rhs infinite: need value(bxy) = inf, possible only for
+            # families that actually take the value inf
+            need = phi.inverse(INF)
+            if need == INF:
+                val = INF
+                h = True
             else:
-                need = phi.inverse_log(la + lb)
-                if need == INF:
-                    val = INF
-                    h = True
-                elif need == 0.0:
-                    val = -INF
-                else:
-                    val = math.log(need) - math.log(float(xs[i])) - math.log(float(xs[j]))
-            pts.append(min(float(xs[i]), float(xs[j])))
-            logs.append(val)
-            hard.append(h)
+                val = math.log(need / (float(xs[i]) * float(xs[j])))
+        else:
+            need = phi.inverse_log(la + lb)
+            if need == INF:
+                val = INF
+                h = True
+            elif need == 0.0:
+                val = -INF
+            else:
+                val = math.log(need) - math.log(float(xs[i])) - math.log(float(xs[j]))
+        logs.append(val)
+        hard.append(h)
     return _classify_grid(
         xs,
-        np.array(pts),
+        xs[ii],
         np.array(logs),
         np.array(hard, dtype=bool),
         lo,
@@ -1039,59 +1013,39 @@ def sum_bound_constants(
     subadditivity of the inverse) are asserted as cross-checks.
     """
     lo, hi = probe_range
-    xs = _pair_grid(lo, hi, grid_per_decade)
+    xs, lv, ii, jj = _pair_grid(phi, lo, hi, grid_per_decade)
     n = len(xs)
-    lv = np.array([phi.log_value(float(x)) for x in xs])
+    num = phi.log_value(xs[ii] + xs[jj])
+    den = np.logaddexp(lv[ii], lv[jj])
+    with np.errstate(invalid="ignore"):
+        k_logs, k_hard = _log_constants(num, den, num - den)
+    if np.any(-k_logs > 1e-9):  # value(a)+value(b) <= value(a+b) must hold
+        raise ConsistencyError("superadditivity cross-check failed")
     invs = np.array([phi.inverse(float(x)) for x in xs])
-    pts = []
-    k_logs, k_hard = [], []
     l_logs, l_hard = [], []
-    for i in range(n):
-        for j in range(i, n):
-            a, b = float(xs[i]), float(xs[j])
-            num = phi.log_value(a + b)
-            den = np.logaddexp(lv[i], lv[j]) if (lv[i] > -INF or lv[j] > -INF) else -INF
-            if lv[i] == INF or lv[j] == INF:
-                den = INF
-            h = False
-            if den == -INF:
-                val = 0.0 if num == -INF else INF
-                h = num != -INF
-            elif den == INF:
-                val = 0.0
-            elif num == INF:
-                val = INF
-                h = True
-            else:
-                val = num - den
-                if -val > 1e-9:  # value(a)+value(b) <= value(a+b) must hold
-                    raise ConsistencyError("superadditivity cross-check failed")
-            pts.append(min(a, b))
-            k_logs.append(val)
-            k_hard.append(h)
-
-            inv_sum = phi.inverse(a + b)
-            isum = invs[i] + invs[j]
-            if inv_sum == 0.0:
-                lval = 0.0 if isum == 0.0 else INF
-                lh = isum != 0.0
-            elif inv_sum == INF:
-                lval = 0.0
-                lh = False
-            else:
-                if inv_sum > isum * (1.0 + 1e-9) + 1e-300:
-                    raise ConsistencyError("inverse subadditivity cross-check failed")
-                lval = math.log(isum / inv_sum) if isum > 0 else -INF
-                lh = False
-            l_logs.append(lval)
-            l_hard.append(lh)
-    pts_arr = np.array(pts)
+    for i, j in zip(ii, jj):
+        inv_sum = phi.inverse(float(xs[i]) + float(xs[j]))
+        isum = invs[i] + invs[j]
+        if inv_sum == 0.0:
+            lval = 0.0 if isum == 0.0 else INF
+            lh = isum != 0.0
+        elif inv_sum == INF:
+            lval = 0.0
+            lh = False
+        else:
+            if inv_sum > isum * (1.0 + 1e-9) + 1e-300:
+                raise ConsistencyError("inverse subadditivity cross-check failed")
+            lval = math.log(isum / inv_sum) if isum > 0 else -INF
+            lh = False
+        l_logs.append(lval)
+        l_hard.append(lh)
+    pts = xs[ii]
     kv = _classify_grid(
-        xs, pts_arr, np.array(k_logs), np.array(k_hard, dtype=bool), lo, hi,
+        xs, pts, k_logs, k_hard, lo, hi,
         divergence_threshold, n * n, "sum-splitting constant grows without bound",
     )
     lv_verdict = _classify_grid(
-        xs, pts_arr, np.array(l_logs), np.array(l_hard, dtype=bool), lo, hi,
+        xs, pts, np.array(l_logs), np.array(l_hard, dtype=bool), lo, hi,
         divergence_threshold, n * n, "inverse-splitting constant grows without bound",
     )
     return kv, lv_verdict

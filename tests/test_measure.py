@@ -512,3 +512,31 @@ class TestPointwiseAlgebra:
             SimpleFunction(uniform3, (math.nan, 0.0, 1.0), None)
         with pytest.raises(ValueError, match="NaN"):
             SimpleFunction.from_dict(geo, {1: math.nan})
+
+    def test_value_vector_read_only_and_exact(self, uniform3):
+        f = SimpleFunction(uniform3, (0.25, -2.0, INF), None)
+        vec = f.value_vector
+        assert vec.dtype == np.float64 and vec is f.value_vector
+        assert not vec.flags.writeable
+        assert vec.tolist() == list(f.values)
+
+    def test_scaled_by_inf_keeps_zero_patches(self):
+        from orlicz.tails import PatchedTail, PointwiseTail, tail_scale
+
+        sp = CountableSpace(ConstantWeights(1.0), 4)
+        f = SimpleFunction(sp, (1.0, 0.0, -1.0, 0.0), PatchedTail(GeometricTail(1.0, 0.5), ((6, 0.0),)))
+        g = f.scaled(INF)
+        assert g.values == (INF, 0.0, -INF, 0.0)
+        assert [g.value(n) for n in (5, 6, 7)] == [INF, 0.0, INF]
+        assert f.scaled(-INF).value(6) == 0.0
+        pw = tail_scale(PointwiseTail(lambda n: float(n % 2), sup_bound=1.0, major_fn=lambda n: 1.0), INF)
+        assert [pw.value_at(n) for n in (5, 6)] == [INF, 0.0]
+        assert pw.sup() == INF and pw.major_at(6) == INF
+
+    def test_scaled_by_nan_refused(self, uniform3, geo):
+        # A zero prefix keeps NaN out of the prefix values, so only the
+        # factor itself can be refused.
+        zero_prefix = SimpleFunction(geo, (0.0,) * geo.depth, ConstantTail(1.0))
+        for f in (SimpleFunction.constant(uniform3, 1.0), zero_prefix):
+            with pytest.raises(ValueError, match="NaN"):
+                f.scaled(math.nan)

@@ -381,3 +381,141 @@ class TestXLogXInverse:
 
 def test_import_does_not_load_scipy(run_python):
     assert run_python("import sys, orlicz; print('scipy' in sys.modules)").strip() == "False"
+
+
+LOG_VALUE_FAMILIES = [
+    PowerAbs(1.0),
+    PowerAbs(2.5),
+    PowerOverP(3.0),
+    ScaledPower(0.3, 2.5),
+    ExpMinusOne(),
+    XLogX(),
+    HardCap(2.0),
+    PiecewiseLinearConvex([(1, 0), (2, 1), (4, 5)], extension="slope"),
+    PiecewiseLinearConvex([(1, 0), (2, 1), (3, 3)], extension="inf"),
+]
+LOG_VALUE_FUNCTIONS = LOG_VALUE_FAMILIES + [phi.conjugate() for phi in LOG_VALUE_FAMILIES]
+
+
+class TestLogValueArray:
+    """The array log_value against math.log of the scalar value."""
+
+    @staticmethod
+    def scalar_log(phi, x):
+        v = phi(x)
+        if v == 0.0:
+            return -INF
+        if v == INF and isinstance(phi, ExpMinusOne):
+            return x  # e^x - 1 overflows the float range but is finite
+        return math.log(v)
+
+    @pytest.mark.parametrize("phi", LOG_VALUE_FUNCTIONS, ids=repr)
+    def test_grid_matches_scalar(self, phi):
+        xs = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 1201)])
+        got = phi.log_value(xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert np.array_equal(phi.log_value(-xs), got)
+        for x, lv in zip(xs, got):
+            ref = self.scalar_log(phi, float(x))
+            if math.isinf(ref):
+                assert lv == ref, (x, lv)
+            else:
+                # ln phi near 0 has no relative scale: 1e-13 absolute there
+                # is 1e-13 relative on phi itself.
+                assert math.isclose(lv, ref, rel_tol=1e-12, abs_tol=1e-13), (x, lv, ref)
+
+    @pytest.mark.parametrize("phi", LOG_VALUE_FUNCTIONS, ids=repr)
+    def test_float_gives_float(self, phi):
+        assert isinstance(phi.log_value(1.5), float)
+        assert phi.log_value(0.0) == -INF
+
+    def test_exp_minus_one_branches(self):
+        phi = ExpMinusOne()
+        assert phi.log_value(40.0) == pytest.approx(math.log(math.expm1(40.0)), rel=1e-15)
+        assert phi.log_value(41.0) == pytest.approx(41.0 + math.log1p(-math.exp(-41.0)), rel=1e-15)
+        assert phi.log_value(800.0) == 800.0
+        assert np.array_equal(phi.log_value(np.array([40.0, 41.0, 800.0, INF])),
+                              [phi.log_value(40.0), phi.log_value(41.0), 800.0, INF])
+
+    def test_hard_cap_edge(self):
+        phi = HardCap(2.0)
+        assert phi.log_value(2.0) == -INF
+        assert phi.log_value(math.nextafter(2.0, INF)) == INF
+
+
+class TestProbeClosedForms:
+    """Probe constants against the closed forms of the power families."""
+
+    @pytest.mark.parametrize("phi,p", [(PowerOverP(3.0), 3.0), (ScaledPower(0.3, 2.5), 2.5)])
+    def test_doubling_constant(self, phi, p):
+        v = delta2_probe(phi)
+        assert v.status is GrowthStatus.HOLDS_GLOBALLY
+        assert v.constant == pytest.approx(2.0**p, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_product_constant_power_over_p(self, p):
+        v = delta_prime_probe(PowerOverP(p))
+        assert v.status is GrowthStatus.HOLDS_GLOBALLY
+        assert v.constant == pytest.approx(p, rel=1e-9)
+
+    @pytest.mark.parametrize("coeff,p", [(0.3, 2.5), (2.0, 1.5)])
+    def test_product_constant_scaled_power(self, coeff, p):
+        v = delta_prime_probe(ScaledPower(coeff, p))
+        assert v.status is GrowthStatus.HOLDS_GLOBALLY
+        assert v.constant == pytest.approx(1.0 / coeff, rel=1e-9)
+
+    def test_doubling_beyond_inf_extension(self):
+        v = delta2_probe(PiecewiseLinearConvex([(1, 0), (2, 1)], extension="inf"))
+        assert v.status is GrowthStatus.HOLDS_BEYOND
+        assert v.threshold == pytest.approx(2.0, rel=1e-2)
+
+
+def _loop_verdicts(phi, probe_range):
+    """delta2 and delta' verdicts from the per-point scalar case tables, the
+    reference the array kernels must reproduce."""
+    from orlicz import young
+
+    lo, hi = probe_range
+
+    def case(num, den, diff):
+        if den == -INF:
+            return (0.0, False) if num == -INF else (INF, True)
+        if den == INF:
+            return 0.0, False
+        if num == INF:
+            return INF, True
+        return diff, False
+
+    xs = young._log_grid(lo, hi, young.DEFAULT_GRID_PER_DECADE)
+    rows = [case(n, d, n - d) for n, d in
+            ((phi.log_value(2.0 * float(x)), phi.log_value(float(x))) for x in xs)]
+    d2 = young._classify_grid(
+        xs, xs, np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), lo, hi, 1e8,
+        len(xs), "doubling ratio exceeds the divergence threshold and grows across the last decade")
+    ys = young._log_grid(lo, hi, max(young.DEFAULT_GRID_PER_DECADE // 64, 4))
+    pts, rows = [], []
+    for i in range(len(ys)):
+        for j in range(i, len(ys)):
+            la, lb = phi.log_value(float(ys[i])), phi.log_value(float(ys[j]))
+            num = phi.log_value(float(ys[i] * ys[j]))
+            den = -INF if -INF in (la, lb) else la + lb
+            rows.append(case(num, den, num - la - lb if math.isfinite(den) else 0.0))
+            pts.append(float(ys[i]))
+    dp = young._classify_grid(
+        ys, np.array(pts), np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), lo, hi,
+        1e8, len(ys) ** 2, "product ratio grows without bound along the diagonal")
+    return d2, dp
+
+
+@pytest.mark.parametrize("phi", LOG_VALUE_FUNCTIONS, ids=repr)
+@pytest.mark.parametrize("probe_range", [(1e-2, 1e2), (0.5, 50.0)])
+def test_array_probes_match_scalar_loop(phi, probe_range):
+    d2_ref, dp_ref = _loop_verdicts(phi, probe_range)
+    for got, ref in ((delta2_probe(phi, probe_range), d2_ref),
+                     (delta_prime_probe(phi, probe_range), dp_ref)):
+        assert (got.status, got.threshold, got.witness, got.grid_points, got.note) == (
+            ref.status, ref.threshold, ref.witness, ref.grid_points, ref.note)
+        if ref.constant is None:
+            assert got.constant is None
+        else:
+            assert got.constant == pytest.approx(ref.constant, rel=1e-12)
