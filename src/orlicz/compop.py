@@ -29,7 +29,13 @@ from .measure import (
     radon_nikodym,
     sigma_finite_check,
 )
-from .norms import NormResult, luxemburg_norm, modular, modular_bounds
+from .norms import (
+    NormResult,
+    _diverges_for_all_scalings,
+    luxemburg_norm,
+    modular,
+    modular_bounds,
+)
 from .tails import (
     ConstantTail,
     GeometricTail,
@@ -260,10 +266,19 @@ def _exists_finite_scaling(
     return None
 
 
-def _scaling_invariant_divergence(phi_fn: YoungFunction, g: SimpleFunction) -> bool:
-    from .norms import _diverges_for_all_scalings
+def _direct_member(phi_fn: YoungFunction, g: SimpleFunction) -> Optional[bool]:
+    """Some scaling of g has finite modular; None when undecided."""
+    if _diverges_for_all_scalings(phi_fn, g) is not None:
+        return False
+    return _exists_finite_scaling(lambda k: modular_bounds(phi_fn, g, scale=k))
 
-    return _diverges_for_all_scalings(phi_fn, g) is not None
+
+def _weighted_member(phi_fn: YoungFunction, f: SimpleFunction, w: SimpleFunction) -> Optional[bool]:
+    """Some scaling of f has finite w-weighted modular; None when undecided."""
+    member = _exists_finite_scaling(lambda k: modular_bounds(phi_fn, f, scale=k, weight=w))
+    if member is None and _weighted_divergence_certificate(phi_fn, f, w):
+        return False
+    return member
 
 
 def domain_membership(
@@ -271,22 +286,11 @@ def domain_membership(
 ) -> bool:
     """f belongs to the operator domain: some scaling of f o phi has finite
     modular. Cross-checked against membership in the (1+h)-weighted space."""
-    composed = compose_apply(f, phi)
-    direct: Optional[bool]
-    if _scaling_invariant_divergence(phi_fn, composed):
-        direct = False
-    else:
-        direct = _exists_finite_scaling(lambda k: modular_bounds(phi_fn, composed, scale=k))
-    h = radon_nikodym(phi)
-    one_plus_h = SimpleFunction.constant(f.space, 1.0).plus(h)
-    weighted: Optional[bool]
+    direct = _direct_member(phi_fn, compose_apply(f, phi))
+    one_plus_h = SimpleFunction.constant(f.space, 1.0).plus(radon_nikodym(phi))
     try:
-        weighted = _exists_finite_scaling(
-            lambda k: modular_bounds(phi_fn, f, scale=k, weight=one_plus_h)
-        )
-        if weighted is None and _weighted_divergence_certificate(phi_fn, f, one_plus_h):
-            weighted = False
-    except (UnresolvedTail, ValueError):
+        weighted = _weighted_member(phi_fn, f, one_plus_h)
+    except ValueError:
         weighted = None
     if direct is None and weighted is None:
         raise UnresolvedTail("domain membership undecided on both routes")
@@ -573,22 +577,9 @@ def sum_domain_check(
     h1 = radon_nikodym(phi)
     h2 = radon_nikodym(psi)
     j = SimpleFunction.constant(f.space, 1.0).plus(h1).plus(h2)
-    try:
-        weighted = _exists_finite_scaling(
-            lambda k: modular_bounds(phi_fn, f, scale=k, weight=j)
-        )
-        if weighted is None and _weighted_divergence_certificate(phi_fn, f, j):
-            weighted = False
-    except UnresolvedTail:
-        weighted = None
+    weighted = _weighted_member(phi_fn, f, j)
     combo = compose_apply(f, phi).plus(compose_apply(f, psi), alpha1, alpha2)
-    if _scaling_invariant_divergence(phi_fn, combo):
-        direct: Optional[bool] = False
-    else:
-        try:
-            direct = _exists_finite_scaling(lambda k: modular_bounds(phi_fn, combo, scale=k))
-        except UnresolvedTail:
-            direct = None
+    direct = _direct_member(phi_fn, combo)
     agree = None if (weighted is None or direct is None) else weighted == direct
     return MembershipReport(weighted, direct, agree, "(1 + h1 + h2) d mu", weight=j)
 
@@ -606,14 +597,7 @@ def composite_domain_check(
     disagreement is reported, never suppressed.
     """
     tau = psi.compose_after(phi)  # x -> psi(phi(x))
-    composed = compose_apply(f, tau)
-    if _scaling_invariant_divergence(phi_fn, composed):
-        direct: Optional[bool] = False
-    else:
-        try:
-            direct = _exists_finite_scaling(lambda k: modular_bounds(phi_fn, composed, scale=k))
-        except UnresolvedTail:
-            direct = None
+    direct = _direct_member(phi_fn, compose_apply(f, tau))
     note = ""
     weighted: Optional[bool] = None
     j0: Optional[SimpleFunction] = None
@@ -634,14 +618,7 @@ def composite_domain_check(
             ),
         )
         j0 = SimpleFunction.constant(space, 1.0).plus(h2).plus(h1_pull)
-        try:
-            weighted = _exists_finite_scaling(
-                lambda k: modular_bounds(phi_fn, f, scale=k, weight=j0)
-            )
-            if weighted is None and _weighted_divergence_certificate(phi_fn, f, j0):
-                weighted = False
-        except UnresolvedTail:
-            weighted = None
+        weighted = _weighted_member(phi_fn, f, j0)
     else:
         note = "inner map not bijective: weighted facet skipped"
     agree = None if (weighted is None or direct is None) else weighted == direct
@@ -868,7 +845,7 @@ def _probe_ratios(
     for a in ids:
         f = SimpleFunction.indicator(space, [a])
         nf = luxemburg_norm(phi_fn, f).value
-        if nf == 0.0:
+        if nf == 0.0 or nf == INF:
             continue
         nc = luxemburg_norm(phi_fn, compose_apply(f, phi)).value
         out.append((f"indicator:{a}", nc / nf))
@@ -883,18 +860,9 @@ def operator_norm_estimate(
 ) -> float:
     """Certified lower bound for the operator norm: the best ratio of norms
     over indicator and random simple-function probes (zero probes excluded)."""
-    import numpy as np
-
     space = phi.space
-    best = 0.0
+    best = max((r for _, r in _probe_ratios(phi_fn, phi, probe_count)), default=0.0)
     ids = list(space.prefix_ids())
-    for a in ids[:probe_count]:
-        f = SimpleFunction.indicator(space, [a])
-        nf = luxemburg_norm(phi_fn, f).value
-        if nf <= 0.0 or nf == INF:
-            continue
-        nc = luxemburg_norm(phi_fn, compose_apply(f, phi)).value
-        best = max(best, nc / nf)
     gen = rng if rng is not None else np.random.default_rng(0)
     for _ in range(probe_count):
         vals = gen.uniform(-10.0, 10.0, size=len(ids))

@@ -4,6 +4,10 @@ Radon-Nikodym derivatives, partitions, and conditional expectation.
 Spaces are either finite atom lists or countable spaces given by a weight
 law truncated at a prefix depth; everything beyond the prefix is governed by
 closed-form laws, so infinite-valued phenomena stay representable.
+
+This module owns the certified tail-sum kernel, ``_tail_modular_bounds``:
+the one case analysis that sums phi(scale*|f|) * weight * mu beyond the
+prefix. The modular (in norms) and the tail integrals here all go through it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .tails import (
     tail_sum,
 )
 from .verdicts import ConsistencyError, Status, Verdict
+from .young import PowerAbs, YoungFunction
 
 AtomId = Union[str, int]
 
@@ -931,86 +936,158 @@ def weighted_measure(f: SimpleFunction, atoms) -> float:
     return total
 
 
+_ABS = PowerAbs(1.0)
+
+
 def _tail_integral_bounds(tail: TailLaw, space: CountableSpace) -> tuple[float, float]:
-    """Certified bounds for sum of tail values times weights (values >= 0)."""
-    m = space.depth
-    law = space.law
-    if tail.is_zero():
-        return 0.0, 0.0
-    if isinstance(tail, PatchedTail):
-        base = tail.base
-        if base.is_zero():
-            total = xsum(
-                xmul(v, law.weight(n)) for n, v in tail.patches if n > m and v != 0.0
-            )
-            return total, total
-        if isinstance(base, (ConstantTail, SparseGeometricTail)):
-            # Closed-form bases admit exact per-term corrections.
-            lo, hi = _tail_integral_bounds(base, space)
-            for n, v in tail.patches:
-                if n > m:
-                    base_term = xmul(base.value_at(n), law.weight(n))
-                    new_term = xmul(v, law.weight(n))
-                    lo = lo - base_term + new_term if lo != INF else INF
-                    hi = hi - base_term + new_term if hi != INF else INF
-            return max(lo, 0.0), hi
-        # Decay-certified bases fall through to the generic series; its
-        # certificate start sits beyond the last patch.
-    if isinstance(tail, ConstantTail):
-        v = xmul(tail.value, law.tail_mass(m))
-        return v, v
-    if isinstance(tail, SparseGeometricTail):
-        return _sparse_series(tail, space, power=(1.0, 1.0), scale=1.0)
-    block = tail.decay_block()
-    if block is not None:
-        b, q = block
-        q_total = q * law.step_ratio_bound(m) ** b
-        if q_total < 1.0:
-            return _certified_series(
-                lambda n: xmul(tail.value_at(n), law.weight(n)), m, b, q_total,
-                cert_from=tail.decay_from(),
-                majorant=lambda n: xmul(tail.major_at(n), law.weight(n)),
-            )
-    sup = tail.sup()
-    if sup == 0.0:
-        return 0.0, 0.0
-    if sup != INF:
-        tm = law.tail_mass(m)
-        if tm == INF:
-            # Indeterminate without more structure; give the trivial bounds.
-            return 0.0, INF
-        explicit = sum(xmul(tail.value_at(n), law.weight(n)) for n in range(m + 1, m + 65))
-        return explicit, explicit + sup * law.tail_mass(m + 64)
-    return 0.0, INF
+    """Certified bounds for the sum of |tail value| times weight: the tail-sum
+    kernel at phi = |x|."""
+    return _tail_modular_bounds(_ABS, tail, 1.0, None, space)
 
 
 def _tail_signed_integral(tail: TailLaw, space: CountableSpace) -> tuple[float, float]:
     """Certified bounds for the signed tail integral of laws with constant sign."""
     if tail.is_zero():
         return 0.0, 0.0
-    if isinstance(tail, ConstantTail):
-        v = xmul(tail.value, space.law.tail_mass(space.depth))
-        return v, v
-    if isinstance(tail, GeometricTail):
-        lo, hi = _tail_integral_bounds(GeometricTail(abs(tail.coeff), tail.ratio), space)
-        return (lo, hi) if tail.coeff >= 0 else (-hi, -lo)
-    if isinstance(tail, SparseGeometricTail):
-        lo, hi = _tail_integral_bounds(
-            SparseGeometricTail(tail.base, abs(tail.coeff), tail.growth, tail.start), space
-        )
-        return (lo, hi) if tail.coeff >= 0 else (-hi, -lo)
     if isinstance(tail, PatchedTail):
         base = tail.base
-        if base.is_zero() or isinstance(base, ConstantTail):
-            # Exact bases admit exact per-term corrections.
-            lo, hi = _tail_signed_integral(base, space)
+        if not (base.is_zero() or isinstance(base, ConstantTail)):
+            raise UnresolvedTail("signed integral with patches over a series-summed base")
+        # Exact bases admit exact per-term corrections.
+        lo, hi = _tail_signed_integral(base, space)
+        for n, v in tail.patches:
+            if n > space.depth:
+                delta = xmul(v, space.law.weight(n)) - xmul(base.value_at(n), space.law.weight(n))
+                lo, hi = lo + delta, hi + delta
+        return lo, hi
+    if isinstance(tail, ConstantTail):
+        sign = tail.value
+    elif isinstance(tail, (GeometricTail, SparseGeometricTail)):
+        sign = tail.coeff
+    else:
+        raise UnresolvedTail(f"signed tail integral unsupported for {tail.descriptor()}")
+    lo, hi = _tail_integral_bounds(tail, space)
+    return (lo, hi) if sign >= 0 else (-hi, -lo)
+
+
+def _tail_modular_bounds(
+    phi: YoungFunction,
+    tail: TailLaw,
+    scale: float,
+    weight_tail: Optional[TailLaw],
+    space: CountableSpace,
+) -> tuple[float, float]:
+    """Certified bounds for the sum over n > depth of
+    phi(scale * |tail(n)|) * weight_tail(n) * mu(n).
+
+    The one tail-sum case analysis: the modular sums its tail here, and the
+    tail integrals are this sum at phi = |x|. A tail it cannot certify gets
+    the trivial bounds (0, inf).
+    """
+    m = space.depth
+    law = space.law
+    wt = weight_tail
+
+    def weight_at(n: int) -> float:
+        return wt.value_at(n) if wt is not None else 1.0
+
+    if tail.is_zero() or scale == 0.0:
+        # phi vanishes at 0, so only the weight pattern is irrelevant.
+        return 0.0, 0.0
+    if wt is not None and wt.is_zero():
+        return 0.0, 0.0
+    if isinstance(tail, PatchedTail):
+        base = tail.base
+        if base.is_zero():
+            # Finite support: the exact sum over the patch points.
+            total = 0.0
             for n, v in tail.patches:
-                if n > space.depth:
-                    delta = xmul(v, space.law.weight(n)) - xmul(base.value_at(n), space.law.weight(n))
-                    lo, hi = lo + delta, hi + delta
-            return lo, hi
-        raise UnresolvedTail("signed integral with patches over a series-summed base")
-    raise UnresolvedTail(f"signed tail integral unsupported for {tail.descriptor()}")
+                if n <= m:
+                    continue
+                total = xsum([total, xmul(xmul(phi(scale * v), weight_at(n)), law.weight(n))])
+            return total, total
+        if isinstance(base, (ConstantTail, SparseGeometricTail)):
+            # These base handlers sum the whole tail in closed form, so the
+            # patch corrections are exact term replacements.
+            lo, hi = _tail_modular_bounds(phi, base, scale, wt, space)
+            for n, v in tail.patches:
+                if n <= m:
+                    continue
+                old = xmul(xmul(phi(scale * base.value_at(n)), weight_at(n)), law.weight(n))
+                new = xmul(xmul(phi(scale * v), weight_at(n)), law.weight(n))
+                if new == INF or (old == INF and wt is None and isinstance(base, ConstantTail)):
+                    # An infinite constant base term recurs on every other atom.
+                    return INF, INF
+                if old == INF:
+                    return 0.0, INF  # the patch may remove one of few infinite terms
+                lo, hi = lo - old + new, (hi - old + new if hi != INF else INF)
+            return max(lo, 0.0), hi
+        # Decay-certified bases fall through to the generic series, whose
+        # certificate start already sits beyond the last patch.
+    if isinstance(tail, ConstantTail):
+        c = phi(scale * tail.value)
+        if wt is None:
+            v = xmul(c, law.tail_mass(m))
+            return v, v
+        if c == 0.0:
+            return 0.0, 0.0
+        wlo, whi = _tail_integral_bounds(wt, space)
+        return xmul(c, wlo), xmul(c, whi)
+    if isinstance(tail, SparseGeometricTail):
+        power = phi.as_power()
+        if power is not None and wt is None:
+            return _sparse_series(tail, space, power=power, scale=abs(scale))
+        if wt is None and tail.growth < 1.0:
+            # Decaying sparse values: convexity-certified geometric sum in k.
+            k0 = tail.start
+            while tail.base**k0 <= m:
+                k0 += 1
+
+            def kterm(k: int) -> float:
+                v = abs(scale * tail.coeff) * tail.growth**k
+                return xmul(phi(v), law.weight(tail.base**k))
+
+            return _certified_series(kterm, k0 - 1, 1, tail.growth)
+        return 0.0, INF
+    # Generic decaying laws: convexity gives phi(q*x) <= q*phi(x) for q < 1,
+    # so a value-decay certificate turns into a term-decay certificate.
+    block = tail.decay_block()
+    if block is not None:
+        b, q = block
+        q_total = q * law.step_ratio_bound(m) ** b
+        if q_total < 1.0:
+            sup_w = 1.0 if wt is None else wt.sup()
+            if sup_w == 0.0:
+                return 0.0, 0.0
+            if sup_w != INF:
+
+                def term(n: int) -> float:
+                    return xmul(
+                        xmul(phi(scale * tail.value_at(n)), weight_at(n)), law.weight(n)
+                    )
+
+                def major(n: int) -> float:
+                    # The decay certificate lives on the tail's majorant;
+                    # the weight enters through its supremum.
+                    return xmul(xmul(phi(scale * tail.major_at(n)), sup_w), law.weight(n))
+
+                return _certified_series(
+                    term, m, b, q_total, majorant=major, cert_from=tail.decay_from()
+                )
+    sup = tail.sup()
+    if sup != INF:
+        c = phi(scale * sup)
+        if c == 0.0:
+            return 0.0, 0.0  # the whole tail sits inside the zero set of phi
+        wsup = wt.sup() if wt is not None else 1.0
+        if law.tail_mass(m) != INF and wsup != INF:
+            explicit = sum(
+                xmul(xmul(phi(scale * tail.value_at(n)), weight_at(n)), law.weight(n))
+                for n in range(m + 1, m + 65)
+            )
+            bound = xmul(xmul(c, wsup), law.tail_mass(m + 64))
+            return explicit, explicit + bound
+    return 0.0, INF
 
 
 def _certified_series(term: Callable[[int], float], m: int, block: int, q: float,

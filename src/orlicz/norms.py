@@ -3,7 +3,9 @@ checks on discrete Orlicz spaces.
 
 The modular is the primitive: everything else is bracketed bisection against
 it (Luxemburg) or constrained maximization over the complementary unit ball
-(Orlicz norm). Tail contributions are certified or refused, never truncated.
+(Orlicz norm). The modular sums its prefix here and its tail through the
+certified tail-sum kernel that measure owns; tail contributions are certified
+or refused, never truncated.
 """
 
 from __future__ import annotations
@@ -15,21 +17,12 @@ import numpy as np
 
 from .extreal import INF, xmul, xsum
 from .measure import (
-    CountableSpace,
     SimpleFunction,
-    _certified_series,
-    _sparse_series,
     _tail_integral_bounds,
+    _tail_modular_bounds,
     _tail_signed_integral,
 )
-from .tails import (
-    ConstantTail,
-    PatchedTail,
-    SparseGeometricTail,
-    TailLaw,
-    UnresolvedTail,
-    tail_product,
-)
+from .tails import ConstantTail, SparseGeometricTail, UnresolvedTail, tail_product
 from .young import YoungFunction
 
 __all__ = [
@@ -95,143 +88,19 @@ def modular_bounds(
 def _prefix_modular(
     phi: YoungFunction, f: SimpleFunction, scale: float, weight: Optional[SimpleFunction]
 ) -> float:
-    space = f.space
     vals = f.value_vector
-    if not np.all(np.isfinite(vals)) or (weight is not None and not np.all(np.isfinite(weight.value_vector))):
-        # Extended values take the careful scalar path.
-        total = 0.0
-        for i, (a, v) in enumerate(f.items()):
-            w = space.weight(a)
-            wv = 1.0 if weight is None else weight.values[i]
-            if wv < 0:
-                raise ValueError("modular weights must be nonnegative")
-            total = xsum([total, xmul(xmul(phi(scale * v if v not in (INF, -INF) else INF), wv), w)])
-        return total
-    weights = space.weight_vector
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = phi.eval_array(scale * np.abs(vals))
+        # An infinite value gives phi(inf) at every scale, 0 included.
+        xs = scale * np.abs(vals) if scale != 0.0 else np.where(np.isinf(vals), INF, 0.0)
+        terms = phi.eval_array(xs)
         if weight is not None:
             wv = weight.value_vector
             if np.any(wv < 0):
                 raise ValueError("modular weights must be nonnegative")
-            # 0 * inf = 0 in either direction, matching the scalar path.
+            # 0 * inf = 0 in either direction.
             terms = np.where((terms == 0.0) | (wv == 0.0), 0.0, terms * wv)
-        terms = np.where(terms == 0.0, 0.0, terms * weights)
+        terms = np.where(terms == 0.0, 0.0, terms * f.space.weight_vector)
     return float(np.sum(terms))
-
-
-def _tail_modular_bounds(
-    phi: YoungFunction,
-    tail: TailLaw,
-    scale: float,
-    weight_tail: Optional[TailLaw],
-    space: CountableSpace,
-) -> tuple[float, float]:
-    m = space.depth
-    law = space.law
-    wt = weight_tail
-
-    def weight_at(n: int) -> float:
-        return wt.value_at(n) if wt is not None else 1.0
-
-    if tail.is_zero() or scale == 0.0:
-        # phi vanishes at 0, so only the weight pattern is irrelevant.
-        return 0.0, 0.0
-    if wt is not None and wt.is_zero():
-        return 0.0, 0.0
-    if isinstance(tail, PatchedTail):
-        base = tail.base
-        if base.is_zero():
-            # Finite support: the exact sum over the patch points.
-            total = 0.0
-            for n, v in tail.patches:
-                if n <= m:
-                    continue
-                total = xsum([total, xmul(xmul(phi(scale * v), weight_at(n)), law.weight(n))])
-            return total, total
-        if isinstance(base, (ConstantTail, SparseGeometricTail)):
-            # These base handlers sum the whole tail in closed form, so the
-            # patch corrections are exact term replacements.
-            lo, hi = _tail_modular_bounds(phi, base, scale, wt, space)
-            for n, v in tail.patches:
-                if n <= m:
-                    continue
-                old = xmul(xmul(phi(scale * base.value_at(n)), weight_at(n)), law.weight(n))
-                new = xmul(xmul(phi(scale * v), weight_at(n)), law.weight(n))
-                if old == INF or new == INF:
-                    if new == INF:
-                        return INF, INF
-                    raise UnresolvedTail("patch removes an infinite base term")
-                lo, hi = lo - old + new, (hi - old + new if hi != INF else INF)
-            return max(lo, 0.0), hi
-        # Decay-certified bases fall through to the generic series, whose
-        # certificate start already sits beyond the last patch.
-    if isinstance(tail, ConstantTail):
-        c = phi(scale * tail.value)
-        if wt is None:
-            v = xmul(c, law.tail_mass(m))
-            return v, v
-        if c == 0.0:
-            return 0.0, 0.0
-        wlo, whi = _tail_integral_bounds(wt, space)
-        return xmul(c, wlo), xmul(c, whi)
-    if isinstance(tail, SparseGeometricTail):
-        power = phi.as_power()
-        if power is not None and wt is None:
-            return _sparse_series(tail, space, power=power, scale=abs(scale))
-        if wt is None and tail.growth < 1.0:
-            # Decaying sparse values: convexity-certified geometric sum in k.
-            k0 = tail.start
-            while tail.base**k0 <= m:
-                k0 += 1
-
-            def kterm(k: int) -> float:
-                v = abs(scale * tail.coeff) * tail.growth**k
-                return xmul(phi(v), law.weight(tail.base**k))
-
-            return _certified_series(kterm, k0 - 1, 1, tail.growth)
-        raise UnresolvedTail("sparse tail modular needs a power family")
-    # Generic decaying laws: convexity gives phi(q*x) <= q*phi(x) for q < 1,
-    # so a value-decay certificate turns into a term-decay certificate.
-    block = tail.decay_block()
-    if block is not None:
-        b, q = block
-        q_total = q * law.step_ratio_bound(m) ** b
-        cert_from = tail.decay_from()
-        if q_total < 1.0:
-            sup_w = 1.0 if wt is None else wt.sup()
-            if sup_w == 0.0:
-                return 0.0, 0.0
-            if sup_w != INF:
-
-                def term(n: int) -> float:
-                    return xmul(
-                        xmul(phi(scale * tail.value_at(n)), weight_at(n)), law.weight(n)
-                    )
-
-                def major(n: int) -> float:
-                    # The decay certificate lives on the tail's majorant;
-                    # the weight enters through its supremum.
-                    return xmul(xmul(phi(scale * tail.major_at(n)), sup_w), law.weight(n))
-
-                return _certified_series(term, m, b, q_total, majorant=major, cert_from=cert_from)
-    sup = tail.sup()
-    if sup != INF:
-        c = phi(scale * sup)
-        if c == 0.0:
-            return 0.0, 0.0  # the whole tail sits inside the zero set of phi
-        wsup = wt.sup() if wt is not None else 1.0
-        tm = law.tail_mass(m)
-        if tm != INF and wsup != INF:
-            explicit = sum(
-                xmul(xmul(phi(scale * tail.value_at(n)), weight_at(n)), law.weight(n))
-                for n in range(m + 1, m + 65)
-            )
-            bound = xmul(xmul(c, wsup), law.tail_mass(m + 64))
-            return explicit, explicit + bound
-        if tm == INF and phi.zero_radius() == 0.0 and isinstance(tail, ConstantTail):
-            return INF, INF
-    raise UnresolvedTail("tail modular not resolvable for this tail/weight pair")
 
 
 def modular(

@@ -146,7 +146,7 @@ class GeometricTail(TailLaw):
         return self.coeff == 0.0
 
     def all_finite(self):
-        return True, None
+        return math.isfinite(self.coeff), None
 
     def sup(self) -> float:
         return abs(self.coeff) * self.ratio  # |value| decreasing; bound at n = 1
@@ -172,7 +172,7 @@ class IndexPowerTail(TailLaw):
         return self.coeff == 0.0
 
     def all_finite(self):
-        return True, None
+        return math.isfinite(self.coeff), None
 
     def sup(self) -> float:
         if self.coeff == 0.0:
@@ -207,7 +207,7 @@ class SparseGeometricTail(TailLaw):
         return self.coeff == 0.0
 
     def all_finite(self):
-        return True, None
+        return math.isfinite(self.coeff), None
 
     def sup(self) -> float:
         if self.coeff == 0.0:
@@ -364,7 +364,7 @@ def tail_scale(tail: TailLaw, c: float) -> TailLaw:
         return PointwiseTail(
             lambda n: xmul(c, f(n)),
             sup_bound=xmul(abs(c), tail.sup_bound),
-            finite=tail.finite,
+            finite=tail.finite and math.isfinite(c),
             block=tail.block,
             block_ratio=tail.block_ratio,
             block_from=tail.block_from,

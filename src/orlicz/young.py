@@ -348,12 +348,14 @@ class XLogX(YoungFunction):
         x = abs(x)
         if x <= 1.0:
             return 0.0
+        if x == INF:
+            return INF  # x log x - x is inf - inf in floating point
         return x * math.log(x) - x + 1.0
 
     def eval_array(self, xs):
         a = np.abs(np.asarray(xs, dtype=float))
-        out = np.zeros_like(a)
-        m = a > 1.0
+        out = np.where(a == INF, INF, 0.0)
+        m = (a > 1.0) & (a < INF)
         am = a[m]
         out[m] = am * np.log(am) - am + 1.0
         return out

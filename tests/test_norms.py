@@ -273,3 +273,35 @@ class TestConvergence:
         rep = convergence_check(PowerAbs(2.0), [g, g, g], f)
         assert not rep.norm_converges
         assert rep.norm_implies_modular_ok  # vacuous
+
+
+class TestTailKernel:
+    def test_unresolvable_tail_gives_certified_upper_inf(self):
+        # No decay certificate and no finite supremum: the kernel cannot sum
+        # the tail, so the prefix is a certified lower bound and +inf the upper.
+        from orlicz import PointwiseTail, modular_bounds
+
+        sp = CountableSpace(ConstantWeights(1.0), depth=4)
+        f = SimpleFunction(sp, (1.0, 0.0, 0.0, 0.0), PointwiseTail(lambda n: 2.0**-n))
+        assert modular_bounds(PowerAbs(2.0), f) == (1.0, INF)
+        with pytest.raises(UnresolvedTail) as err:
+            modular(PowerAbs(2.0), f)
+        assert (err.value.lower, err.value.upper) == (1.0, INF)
+
+    def test_weighted_sparse_tail_gives_certified_upper_inf(self):
+        from orlicz import SparseGeometricTail, modular_bounds
+
+        sp = CountableSpace(ConstantWeights(1.0), depth=4)
+        f = SimpleFunction(sp, (0.0, 2.0, 0.0, 0.0), SparseGeometricTail(2, 1.0, 0.5, start=3))
+        w = SimpleFunction(sp, (1.0,) * 4, GeometricTail(1.0, 0.5))
+        assert modular_bounds(PowerAbs(2.0), f, weight=w) == (4.0, INF)
+        with pytest.raises(UnresolvedTail) as err:
+            modular(PowerAbs(2.0), f, weight=w)
+        assert (err.value.lower, err.value.upper) == (4.0, INF)
+
+    def test_x_log_x_of_infinite_value(self):
+        from orlicz import XLogX
+
+        sp = fs([("a", 1.0), ("b", 1.0)])
+        g = SimpleFunction(sp, (INF, 1.0), None)
+        assert modular(XLogX(), g) == INF

@@ -195,3 +195,21 @@ class TestPointwiseAlgebra:
         p = tail_product(h, _vanishing(1.0, 0.5, 5))
         assert p == PatchedTail(ZeroTail(), ((20, 0.0), (21, 2.0 * 0.5**21)))
         assert p.all_finite() == (True, None)
+
+
+@pytest.mark.parametrize("law", [
+    GeometricTail(1.0, 0.5),
+    SparseGeometricTail(2, 1.0, 0.5, start=3),
+    IndexPowerTail(1.0, 1.0),
+    PointwiseTail(lambda n: 2.0**-n, sup_bound=0.5),
+], ids=["geometric", "sparse", "index_power", "pointwise"])
+@pytest.mark.parametrize("c", [INF, -INF])
+def test_scaling_by_infinity_drops_the_finite_certificate(law, c):
+    from orlicz import ConstantWeights, luxemburg_norm
+
+    sp = CountableSpace(ConstantWeights(1.0), depth=4)
+    f = SimpleFunction(sp, (0.0,) * 4, law).scaled(c)
+    assert f.value(8) == c
+    assert f.all_finite()[0] is False
+    res = luxemburg_norm(PowerAbs(2.0), f)
+    assert (res.value, res.method) == (INF, "analytic")

@@ -519,3 +519,9 @@ def test_array_probes_match_scalar_loop(phi, probe_range):
             assert got.constant is None
         else:
             assert got.constant == pytest.approx(ref.constant, rel=1e-12)
+
+
+def test_x_log_x_at_infinity():
+    phi = XLogX()
+    assert phi(INF) == INF and phi(-INF) == INF
+    assert list(phi.eval_array(np.array([INF, -INF, 0.5, 2.0]))) == [INF, INF, 0.0, phi(2.0)]
