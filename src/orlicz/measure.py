@@ -30,6 +30,7 @@ from .tails import (
     TailLaw,
     UnresolvedTail,
     ZeroTail,
+    tail_nonnegative,
     tail_power,
     tail_product,
     tail_scale,
@@ -918,6 +919,8 @@ def weighted_measure(f: SimpleFunction, atoms) -> float:
     if atoms == ALL_ATOMS:
         if any(v < 0 for _, v in f.items()):
             raise ValueError("weighted_measure requires f >= 0")
+        if not space.is_finite and not tail_nonnegative(f.tail):
+            raise ValueError("weighted_measure requires a tail law certified >= 0")
         prefix = xsum(xmul(v, space.weight(a)) for a, v in f.items())
         if space.is_finite:
             return prefix

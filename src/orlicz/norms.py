@@ -6,10 +6,16 @@ it (Luxemburg) or constrained maximization over the complementary unit ball
 (Orlicz norm). The modular sums its prefix here and its tail through the
 certified tail-sum kernel that measure owns; tail contributions are certified
 or refused, never truncated.
+
+The Luxemburg bisection runs over fixed dyadic points, but a point costs a
+modular evaluation only inside the call's certified bracket, which a seed
+narrows around the root first (by homogeneity for coeff*|x|**p, by a
+safeguarded secant on log k otherwise): a few evaluations per norm.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,7 +45,21 @@ __all__ = [
 ]
 
 DEFAULT_REL_TOL = 1e-12
-_MAX_EXPAND = 200
+_MAX_EXPAND = 200  # doublings of the Orlicz norm's dual scale
+# The Luxemburg bracket doubles and halves k through 2**+-1023, the widest
+# powers of two whose reciprocals (the modular's scale) are finite.
+_LUX_EXPAND = 1023
+_K_MIN, _K_MAX = 2.0**-_LUX_EXPAND, 2.0**_LUX_EXPAND
+# Seeds evaluate at r*(1 -+ _SEED_HALF_WIDTH) around a root estimate r; the
+# width sits below DEFAULT_REL_TOL (about 2**-40), so the bisection then
+# resolves inside the seeded bracket.
+_SEED_HALF_WIDTH = 2.0**-44
+# The secant seed stops after _SEED_STEPS evaluations (the bisection then
+# evaluates inside whatever bracket it left), or once its step falls below
+# _SEED_STEP_TOL in log k, where the secant's next estimate typically lies
+# within _SEED_HALF_WIDTH of the root.
+_SEED_STEPS = 12
+_SEED_STEP_TOL = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -100,7 +120,7 @@ def _prefix_modular(
             # 0 * inf = 0 in either direction.
             terms = np.where((terms == 0.0) | (wv == 0.0), 0.0, terms * wv)
         terms = np.where(terms == 0.0, 0.0, terms * f.space.weight_vector)
-    return float(np.sum(terms))
+        return float(np.sum(terms))
 
 
 def modular(
@@ -153,20 +173,33 @@ def _diverges_for_all_scalings(phi: YoungFunction, f: SimpleFunction) -> Optiona
     return None
 
 
-def luxemburg_norm(
-    phi: YoungFunction, f: SimpleFunction, rel_tol: float = DEFAULT_REL_TOL
-) -> NormResult:
-    """inf{k > 0 : modular(f/k) <= 1}, located by bracketed bisection on the
-    nonincreasing map k -> modular(f/k); the returned value satisfies
-    modular(f / value) <= 1."""
-    if f.is_zero():
-        return NormResult(0.0, "analytic", 0.0, "zero function")
-    cert = _diverges_for_all_scalings(phi, f)
-    if cert is not None:
-        return NormResult(INF, "analytic", 0.0, f"not in the space: {cert}")
+class _Bracket:
+    """The certified bracket of one Luxemburg search.
 
-    def le_one(k: float) -> bool:
-        lo, hi = modular_bounds(phi, f, scale=1.0 / k)
+    ``infeasible`` is the largest k evaluated with modular(f/k) proved > 1,
+    ``feasible`` the smallest with modular(f/k) proved <= 1. The modular is
+    nonincreasing in k, so a k outside the open interval between them is
+    decided without evaluating it. The state lives for one call only.
+    """
+
+    def __init__(self, phi: YoungFunction, f: SimpleFunction):
+        self.phi, self.f = phi, f
+        self.infeasible, self.feasible = 0.0, INF
+
+    def evaluate(self, k: float) -> tuple[float, float]:
+        lo, hi = modular_bounds(self.phi, self.f, scale=1.0 / k)
+        if hi <= 1.0:
+            self.feasible = min(self.feasible, k)
+        elif lo > 1.0:
+            self.infeasible = max(self.infeasible, k)
+        return lo, hi
+
+    def le_one(self, k: float) -> bool:
+        if k <= self.infeasible:
+            return False
+        if self.feasible <= k < INF:  # +inf is never proved feasible
+            return True
+        lo, hi = self.evaluate(k)
         if hi <= 1.0:
             return True
         if lo > 1.0:
@@ -175,10 +208,119 @@ def luxemburg_norm(
             "modular bounds straddle 1 at the bisection point", lower=lo, upper=hi
         )
 
+    def probe(self, k: float) -> Optional[tuple[float, float]]:
+        """A seed evaluation: the modular bounds at k, or None where k is
+        outside the bracket range or the tail is unresolved. Never raises."""
+        if not _K_MIN <= k <= _K_MAX:
+            return None
+        try:
+            return self.evaluate(k)
+        except UnresolvedTail:
+            return None
+
+
+def _seed_power(br: _Bracket, p: float, s: float) -> None:
+    """Seed the bracket of coeff*|x|**p from one evaluation: the modular is
+    homogeneous, modular(f/k) = (s/k)**p * modular(f/s), so its bounds at
+    k = s place the root between s*lo**(1/p) and s*hi**(1/p)."""
+    b = br.probe(s)
+    if b is None:
+        return
+    lo, hi = b
+    br.probe(s * lo ** (1.0 / p) * (1.0 - _SEED_HALF_WIDTH))
+    br.probe(s * hi ** (1.0 / p) * (1.0 + _SEED_HALF_WIDTH))
+
+
+def _seed_search(br: _Bracket, s: float) -> None:
+    """Seed the bracket of a general Young function by a safeguarded secant
+    search on g(u) = log modular(f / (s e**u)), which decreases in u.
+
+    Convexity with phi(0) = 0 gives phi(x/c) <= phi(x)/c for c >= 1, so g
+    falls by at least 1 per unit of u where it is finite: from a point with
+    finite g, u + g(u) lies on the other side of the root. Where g is -inf
+    (phi vanishes near 0) or +inf, the search steps outward by doubling
+    steps. Once both sides are known, it takes the secant through the last
+    two points when that falls inside the bracket, else the midpoint. Once
+    the step is below _SEED_STEP_TOL, the estimate r is close enough that
+    r*(1 -+ _SEED_HALF_WIDTH) brackets the root.
+    """
+
+    def g(u: float) -> Optional[float]:
+        b = br.probe(s * math.exp(u) if u < 700.0 else INF)
+        if b is None or b[0] <= 1.0 < b[1]:
+            return None
+        return math.log(b[1]) if b[1] > 0.0 else -INF
+
+    a = b = prev = None  # a: g > 0 (infeasible), b: g <= 0 (feasible)
+    u, step = 0.0, 1.0
+    for _ in range(_SEED_STEPS):
+        gu = g(u)
+        if gu is None:
+            return
+        if gu > 0.0:
+            a = (u, gu)
+        else:
+            b = (u, gu)
+        if a is None:
+            nxt = b[0] + b[1] if b[1] != -INF else b[0] - step
+        elif b is None:
+            nxt = a[0] + a[1] if a[1] != INF else a[0] + step
+        else:
+            nxt = 0.5 * (a[0] + b[0])
+            if prev is not None and math.isfinite(gu) and math.isfinite(prev[1]) and gu != prev[1]:
+                sec = u - gu * (u - prev[0]) / (gu - prev[1])
+                if a[0] < sec < b[0]:
+                    nxt = sec
+        step *= 2.0
+        if abs(nxt - u) <= _SEED_STEP_TOL:
+            r = s * math.exp(nxt)
+            br.probe(r * (1.0 - _SEED_HALF_WIDTH))
+            br.probe(r * (1.0 + _SEED_HALF_WIDTH))
+            return
+        prev, u = (u, gu), nxt
+
+
+def _magnitude(f: SimpleFunction) -> float:
+    """sup|f| where it is certified finite, else the largest prefix value:
+    the unit of k from which the seeds start."""
+    s = f.sup_abs()
+    if s == INF:
+        s = float(np.max(np.abs(f.value_vector), initial=0.0))
+    return s
+
+
+def luxemburg_norm(
+    phi: YoungFunction, f: SimpleFunction, rel_tol: float = DEFAULT_REL_TOL
+) -> NormResult:
+    """inf{k > 0 : modular(f/k) <= 1}, located by bracketed bisection on the
+    nonincreasing map k -> modular(f/k); the returned value satisfies
+    modular(f / value) <= 1.
+
+    The bracket starts at k = 1 and doubles or halves through 2**+-1023; the
+    bisection then halves it to rel_tol. Each of those points is answered
+    from the certified bracket of the call when it lies outside it, and by a
+    modular evaluation only inside it. A seed first evaluates a few points
+    around an estimate of the root, so most points cost a comparison, and
+    the result is the dyadic bracket that evaluating every point would give.
+    """
+    if f.is_zero():
+        return NormResult(0.0, "analytic", 0.0, "zero function")
+    cert = _diverges_for_all_scalings(phi, f)
+    if cert is not None:
+        return NormResult(INF, "analytic", 0.0, f"not in the space: {cert}")
+
+    br = _Bracket(phi, f)
+    power = phi.as_power()
+    if power is not None:
+        _seed_power(br, power[1], _magnitude(f))
+    else:
+        _seed_search(br, _magnitude(f))
+    le_one = br.le_one
+
     k = 1.0
     if le_one(k):
         hi = k
-        for _ in range(_MAX_EXPAND):
+        for _ in range(_LUX_EXPAND):
             if not le_one(hi / 2.0):
                 lo = hi / 2.0
                 break
@@ -187,7 +329,7 @@ def luxemburg_norm(
             return NormResult(hi, "bisection", hi, "norm below bracket floor")
     else:
         lo = k
-        for _ in range(_MAX_EXPAND):
+        for _ in range(_LUX_EXPAND):
             if le_one(lo * 2.0):
                 hi = lo * 2.0
                 break
@@ -195,7 +337,7 @@ def luxemburg_norm(
         else:
             return NormResult(
                 INF, "bisection", 0.0,
-                f"modular stayed above 1 through k = 2**{_MAX_EXPAND}",
+                f"modular stayed above 1 through k = 2**{_LUX_EXPAND}",
             )
     while (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)

@@ -28,6 +28,7 @@ __all__ = [
     "tail_sum",
     "tail_product",
     "tail_power",
+    "tail_nonnegative",
 ]
 
 
@@ -479,3 +480,19 @@ def tail_power(t: TailLaw, e: float) -> TailLaw:
         major_fn=lambda n: t.major_at(n) ** e,
         name="power",
     )
+
+
+def tail_nonnegative(t: TailLaw) -> bool:
+    """True when every value of the law is certified >= 0; False when a
+    value may be negative or the law carries no sign certificate."""
+    if t.is_zero():
+        return True
+    if isinstance(t, ConstantTail):
+        return t.value >= 0.0
+    if isinstance(t, (GeometricTail, IndexPowerTail)):
+        return t.coeff >= 0.0
+    if isinstance(t, SparseGeometricTail):
+        return t.coeff >= 0.0 and t.growth >= 0.0
+    if isinstance(t, PatchedTail):
+        return tail_nonnegative(t.base) and all(v >= 0.0 for _, v in t.patches)
+    return False

@@ -6,8 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import orlicz
+
+# CI runs replay the same examples on every run, so a property cannot flake
+# there; local runs keep hypothesis' random exploration.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 SRC = str(Path(orlicz.__file__).resolve().parents[1])
 

@@ -114,6 +114,13 @@ class TestWeightedMeasure:
         one = SimpleFunction.constant(geo, 1.0)
         assert weighted_measure(one, ALL_ATOMS) == pytest.approx(1.0, rel=1e-12)
 
+    def test_negative_tail_refused(self):
+        # A zero prefix hides the sign: the tail law alone must certify f >= 0.
+        sp = CountableSpace(GeometricWeights(1.0, 0.5), depth=4)
+        f = SimpleFunction(sp, (0.0,) * 4, ConstantTail(-1.0))
+        with pytest.raises(ValueError):
+            weighted_measure(f, ALL_ATOMS)
+
 
 class TestRadonNikodym:
     def test_nonsingular_always(self, collapse3):
