@@ -49,14 +49,29 @@ DEFAULT_GRID_PER_DECADE = 512
 _LOG_OVERFLOW = 700.0
 
 
+def _float_array(x) -> np.ndarray:
+    """x as a float array with at least one dimension."""
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
 def _abs_array(x) -> np.ndarray:
     """|x| as a float array with at least one dimension."""
-    return np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
+    return np.abs(_float_array(x))
 
 
 def _shaped(x, out: np.ndarray):
     """``out`` in the form of the argument ``x``: a float for a scalar."""
     return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def _power_inv_subgradient(v, coeff: float, p: float):
+    """inv_subgradient of coeff*|x|**p: the slope jumps from 0 to +inf at
+    coeff when p = 1, else g = (v / (coeff*p))**(1/(p-1))."""
+    a = _float_array(v)
+    if p == 1.0:
+        return _shaped(v, np.where(a < coeff, 0.0, INF))
+    with np.errstate(over="ignore"):
+        return _shaped(v, (a / (coeff * p)) ** (1.0 / (p - 1.0)))
 
 
 class YoungFunction:
@@ -88,8 +103,10 @@ class YoungFunction:
         """A subgradient selection at x >= 0."""
         raise NotImplementedError
 
-    def inv_subgradient(self, v: float) -> float:
-        """Largest g >= 0 whose subdifferential contains v (right inverse of the slope)."""
+    def inv_subgradient(self, v):
+        """Largest g >= 0 whose subdifferential contains v (right inverse of
+        the slope), elementwise over an array of v >= 0, +inf where no finite
+        g has slope v. A float gives a float."""
         raise NotImplementedError
 
     def zero_radius(self) -> float:
@@ -153,10 +170,8 @@ class PowerAbs(YoungFunction):
             return 1.0
         return self.p * x ** (self.p - 1.0)
 
-    def inv_subgradient(self, v: float) -> float:
-        if self.p == 1.0:
-            return 0.0 if v < 1.0 else INF
-        return (v / self.p) ** (1.0 / (self.p - 1.0))
+    def inv_subgradient(self, v):
+        return _power_inv_subgradient(v, 1.0, self.p)
 
     def log_value(self, x):
         with np.errstate(divide="ignore"):
@@ -208,8 +223,9 @@ class PowerOverP(YoungFunction):
     def derivative(self, x: float) -> float:
         return x ** (self.p - 1.0)
 
-    def inv_subgradient(self, v: float) -> float:
-        return v ** (1.0 / (self.p - 1.0))
+    def inv_subgradient(self, v):
+        with np.errstate(over="ignore"):
+            return _shaped(v, _float_array(v) ** (1.0 / (self.p - 1.0)))
 
     def log_value(self, x):
         with np.errstate(divide="ignore"):
@@ -267,10 +283,8 @@ class ScaledPower(YoungFunction):
             return self.coeff
         return self.coeff * self.p * x ** (self.p - 1.0)
 
-    def inv_subgradient(self, v: float) -> float:
-        if self.p == 1.0:
-            return 0.0 if v < self.coeff else INF
-        return (v / (self.coeff * self.p)) ** (1.0 / (self.p - 1.0))
+    def inv_subgradient(self, v):
+        return _power_inv_subgradient(v, self.coeff, self.p)
 
     def log_value(self, x):
         with np.errstate(divide="ignore"):
@@ -322,8 +336,9 @@ class ExpMinusOne(YoungFunction):
         except OverflowError:
             return INF
 
-    def inv_subgradient(self, v: float) -> float:
-        return math.log(v) if v > 1.0 else 0.0
+    def inv_subgradient(self, v):
+        # log(1) = 0 exactly, so clamping at 1 gives the flat branch v <= 1.
+        return _shaped(v, np.log(np.maximum(_float_array(v), 1.0)))
 
     def log_value(self, x):
         a = _abs_array(x)
@@ -390,13 +405,10 @@ class XLogX(YoungFunction):
     def derivative(self, x: float) -> float:
         return math.log(x) if x > 1.0 else 0.0
 
-    def inv_subgradient(self, v: float) -> float:
-        if v <= 0.0:
-            return 1.0
-        try:
-            return math.exp(v)
-        except OverflowError:
-            return INF
+    def inv_subgradient(self, v):
+        a = _float_array(v)
+        with np.errstate(over="ignore"):
+            return _shaped(v, np.where(a <= 0.0, 1.0, np.exp(a)))
 
     def zero_radius(self) -> float:
         return 1.0
@@ -433,8 +445,8 @@ class HardCap(YoungFunction):
     def derivative(self, x: float) -> float:
         return 0.0 if x < self.cap else INF
 
-    def inv_subgradient(self, v: float) -> float:
-        return self.cap
+    def inv_subgradient(self, v):
+        return _shaped(v, np.full(_float_array(v).shape, self.cap))
 
     def zero_radius(self) -> float:
         return self.cap
@@ -611,21 +623,15 @@ class PiecewiseLinearConvex(YoungFunction):
             return INF
         return float(self._slopes[-1]) if self._slopes else 0.0
 
-    def inv_subgradient(self, v: float) -> float:
-        slopes = [float(s) for s in self._slopes]
-        pts = self.points
-        if not slopes:
-            return float(pts[-1][0])
-        # Largest breakpoint whose left slope is <= v.
-        g = 0.0
-        for i, s in enumerate(slopes):
-            if v >= s:
-                g = float(pts[i + 1][0])
-            else:
-                return g
-        if self.extension == "inf":
-            return float(pts[-1][0])
-        return INF if v > slopes[-1] else g
+    def inv_subgradient(self, v):
+        a = _float_array(v)
+        px = np.array([float(x) for x, _ in self.points])
+        slopes = np.array([float(s) for s in self._slopes])
+        # The largest breakpoint whose left slope is <= v; slopes are sorted.
+        out = px[np.searchsorted(slopes, a, side="right")]
+        if self.extension == "slope":
+            out[a > slopes[-1]] = INF
+        return _shaped(v, out)
 
     def zero_radius(self) -> float:
         pts = self.points

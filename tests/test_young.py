@@ -443,6 +443,88 @@ class TestLogValueArray:
         assert phi.log_value(math.nextafter(2.0, INF)) == INF
 
 
+def scalar_inv_subgradient(phi, v):
+    """The per-family scalar inv_subgradient bodies, for comparison."""
+    try:
+        if isinstance(phi, (PowerAbs, ScaledPower)):
+            coeff, p = phi.as_power()
+            if p == 1.0:
+                return 0.0 if v < coeff else INF
+            return (v / (coeff * p)) ** (1.0 / (p - 1.0))
+        if isinstance(phi, PowerOverP):
+            return v ** (1.0 / (phi.p - 1.0))
+        if isinstance(phi, ExpMinusOne):
+            return math.log(v) if v > 1.0 else 0.0
+        if isinstance(phi, XLogX):
+            return 1.0 if v <= 0.0 else math.exp(v)
+        if isinstance(phi, HardCap):
+            return phi.cap
+    except OverflowError:
+        return INF
+    xs = [float(x) for x, _ in phi.points]
+    slopes = [float(s) for s in phi._slopes]
+    g = 0.0
+    for x1, s in zip(xs[1:], slopes):
+        if v < s:
+            return g
+        g = x1
+    if phi.extension == "inf":
+        return xs[-1]
+    return INF if v > slopes[-1] else g
+
+
+class TestInvSubgradientArray:
+    """The array inv_subgradient against the scalar bodies and their branches."""
+
+    @pytest.mark.parametrize("phi", LOG_VALUE_FUNCTIONS, ids=repr)
+    def test_grid_matches_scalar(self, phi):
+        vs = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 1201)])
+        got = phi.inv_subgradient(vs)
+        assert isinstance(got, np.ndarray) and got.shape == vs.shape
+        for v, g in zip(vs, got):
+            ref = scalar_inv_subgradient(phi, float(v))
+            # numpy's pow, exp and log may differ from the C library's by an
+            # ulp, so the tolerance is a few float64 ulps.
+            assert g == ref or math.isclose(g, ref, rel_tol=4 * 2.0**-52, abs_tol=0.0), (v, g, ref)
+
+    @pytest.mark.parametrize("phi", LOG_VALUE_FUNCTIONS, ids=repr)
+    def test_float_gives_float(self, phi):
+        for v in (0.0, 0.5, 3.0):
+            g = phi.inv_subgradient(v)
+            assert isinstance(g, float)
+            assert g == phi.inv_subgradient(np.array([v]))[0]
+
+    @pytest.mark.parametrize("phi, jump", [(PowerAbs(1.0), 1.0), (ScaledPower(0.3, 1.0), 0.3)])
+    def test_linear_jumps_at_the_slope(self, phi, jump):
+        vs = np.array([0.0, 0.5 * jump, math.nextafter(jump, 0.0), jump, 2.0 * jump, INF])
+        assert phi.inv_subgradient(vs).tolist() == [0.0, 0.0, 0.0, INF, INF, INF]
+
+    def test_x_log_x_branches(self):
+        vs = np.array([-1.0, 0.0, 1e-300, 1.0, 709.0, 710.0, 1e6, INF])
+        got = XLogX().inv_subgradient(vs)
+        assert got[:2].tolist() == [1.0, 1.0]
+        assert got[2] == 1.0 and got[3] == pytest.approx(math.e, rel=1e-15)
+        assert 0.0 < got[4] < INF
+        assert got[5:].tolist() == [INF, INF, INF]
+
+    def test_exp_minus_one_flat_below_one(self):
+        vs = np.array([0.0, 0.5, 1.0, math.nextafter(1.0, 2.0), math.e, INF])
+        got = ExpMinusOne().inv_subgradient(vs)
+        assert got[:3].tolist() == [0.0, 0.0, 0.0]
+        assert 0.0 < got[3] < 1e-15 and got[4] == pytest.approx(1.0, rel=1e-15) and got[5] == INF
+
+    def test_hard_cap(self):
+        assert HardCap(2.0).inv_subgradient(np.array([0.0, 1.0, INF])).tolist() == [2.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("extension, last", [("slope", INF), ("inf", 3.0)])
+    def test_piecewise_linear_at_its_slopes(self, extension, last):
+        # Slopes 0, 1, 2 on [0, 1], [1, 2], [2, 3]: a slope equal to a
+        # segment's gives that segment's right end.
+        phi = PiecewiseLinearConvex([(1, 0), (2, 1), (3, 3)], extension=extension)
+        vs = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+        assert phi.inv_subgradient(vs).tolist() == [1.0, 1.0, 2.0, 2.0, 3.0, last]
+
+
 class TestProbeClosedForms:
     """Probe constants against the closed forms of the power families."""
 
