@@ -18,14 +18,10 @@ import numpy as np
 
 from .extreal import INF
 from .measure import (
-    CollapseLaw,
-    DivCeilLaw,
-    IdentityLaw,
-    PairSwapLaw,
     PowerIndexLaw,
-    ShiftLaw,
     SimpleFunction,
     Transformation,
+    pullback_tail,
     radon_nikodym,
     sigma_finite_check,
 )
@@ -40,9 +36,7 @@ from .tails import (
     ConstantTail,
     GeometricTail,
     PatchedTail,
-    PointwiseTail,
     SparseGeometricTail,
-    TailLaw,
     UnresolvedTail,
     ZeroTail,
 )
@@ -75,141 +69,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _tail_atoms_hitting_prefix(law, m: int):
-    """Tail atoms the law sends into the prefix, or None when unbounded."""
-    if isinstance(law, (IdentityLaw, ShiftLaw, PowerIndexLaw)):
-        return ()
-    if isinstance(law, PairSwapLaw):
-        return (m + 1,) if (m + 1) % 2 == 0 else ()
-    if isinstance(law, DivCeilLaw):
-        return tuple(range(m + 1, law.d * m + 1))
-    return None
-
-
-def _composed_tail(f: SimpleFunction, phi: Transformation) -> TailLaw:
-    """Tail law of f o phi, derived per map law."""
-    space = phi.space
-    m = space.depth
-    law = phi.law
-    ft = f.tail
-    if isinstance(law, CollapseLaw):
-        return ConstantTail(f.value(law.target))
-    if isinstance(law, IdentityLaw):
-        return ft
-    if ft.is_zero():
-        # Beyond the prefix the pullback can only be nonzero where the law
-        # maps back into the prefix, which is a finite, law-described set.
-        hits = _tail_atoms_hitting_prefix(law, m)
-        if hits is not None:
-            patches = tuple(
-                (n, f.value(law.apply(n))) for n in hits if f.value(law.apply(n)) != 0.0
-            )
-            return PatchedTail(ZeroTail(), patches) if patches else ZeroTail()
-    if isinstance(law, ShiftLaw):
-        if isinstance(ft, ZeroTail):
-            return ZeroTail()
-        if isinstance(ft, ConstantTail):
-            return ft
-        if isinstance(ft, GeometricTail):
-            return GeometricTail(ft.coeff * ft.ratio**law.k, ft.ratio)
-        db = ft.decay_block()
-        return PointwiseTail(
-            lambda n: f.value(n + law.k), sup_bound=ft.sup(), finite=ft.all_finite()[0],
-            block=db[0] if db else None, block_ratio=db[1] if db else None,
-            block_from=max(ft.decay_from() - law.k, 0),
-            major_fn=lambda n: ft.major_at(n + law.k),
-            name="shifted",
-        )
-    if isinstance(law, PairSwapLaw):
-        if isinstance(ft, (ZeroTail, ConstantTail)):
-            return ft
-        db = ft.decay_block()
-        block = block_ratio = None
-        block_from = 0
-        if db is not None:
-            # Swapping adjacent atoms preserves two-step decay once both
-            # members of each pair lie inside the certified region.
-            block, block_ratio = 2 * db[0], db[1] ** 2
-            block_from = max(m + 3, ft.decay_from() + 1)
-
-        def swapped_major(n: int) -> float:
-            t = law.apply(n)
-            return abs(f.value(t)) if t <= m else ft.major_at(t)
-
-        boundary = abs(f.values[-1]) if f.values else 0.0
-        return PointwiseTail(
-            lambda n: f.value(law.apply(n)),
-            sup_bound=max(ft.sup(), boundary),
-            finite=ft.all_finite()[0],
-            block=block,
-            block_ratio=block_ratio,
-            block_from=block_from,
-            major_fn=swapped_major,
-            name="pair_swapped",
-        )
-    if isinstance(law, DivCeilLaw):
-        d = law.d
-        if isinstance(ft, ZeroTail) and all(v == 0.0 for v in f.values):
-            return ZeroTail()
-        if isinstance(ft, ConstantTail) and all(v == ft.value for v in f.values):
-            return ft
-        db = ft.decay_block()
-        block = block_ratio = None
-        block_from = 0
-        if db is not None:
-            # Pulled-back values repeat d times, so decay needs d-fold blocks
-            # and only applies once ceil(n/d) has left the prefix.
-            block, block_ratio = d * db[0], db[1]
-            block_from = max(d * m + 1, d * ft.decay_from())
-
-        def divceil_major(n: int) -> float:
-            t = law.apply(n)
-            return abs(f.value(t)) if t <= m else ft.major_at(t)
-
-        return PointwiseTail(
-            lambda n: f.value(law.apply(n)),
-            sup_bound=max(f.sup_abs(), ft.sup()),
-            finite=f.all_finite()[0],
-            block=block,
-            block_ratio=block_ratio,
-            block_from=block_from,
-            major_fn=divceil_major,
-            name="div_ceil_pullback",
-        )
-    if isinstance(law, PowerIndexLaw):
-        if isinstance(ft, ZeroTail) and all(v == 0.0 for v in f.values):
-            return ZeroTail()
-        if isinstance(ft, SparseGeometricTail):
-            # Support n with n**e = base**k requires base to be an e-th power.
-            root = round(ft.base ** (1.0 / law.e))
-            if root >= 2 and root**law.e == ft.base:
-                return SparseGeometricTail(root, ft.coeff, ft.growth, ft.start)
-        db = ft.decay_block()
-        block = block_ratio = None
-        if db is not None and isinstance(ft, GeometricTail):
-            # value(n**e) decays at least as fast as value(n) along n.
-            block, block_ratio = 1, ft.ratio ** max((m + 2) ** law.e - (m + 1) ** law.e, 1)
-        return PointwiseTail(
-            lambda n: f.value(law.apply(n)),
-            sup_bound=max(f.sup_abs(), ft.sup()),
-            finite=f.all_finite()[0],
-            block=block,
-            block_ratio=block_ratio,
-            major_fn=lambda n: ft.major_at(law.apply(n)),
-            name="power_index_pullback",
-        )
-    raise UnresolvedTail(f"no composed tail law for {law.label()}")
-
-
 def compose_apply(f: SimpleFunction, phi: Transformation) -> SimpleFunction:
-    """(f o phi)(x) = f(phi(x)), with tail-law composition where resolvable."""
+    """(f o phi)(x) = f(phi(x)); on countable spaces the tail is the pullback
+    of f's tail law under the map law."""
     space = phi.space
     if f.space != space:
         raise ValueError("function and transformation live on different spaces")
     vals = tuple(f.value(phi.apply(a)) for a in space.prefix_ids())
     if space.is_finite:
         return SimpleFunction(space, vals, None)
-    return SimpleFunction(space, vals, _composed_tail(f, phi))
+    return SimpleFunction(space, vals, pullback_tail(f, phi.law))
 
 
 @dataclass(frozen=True)
@@ -602,22 +471,8 @@ def composite_domain_check(
     weighted: Optional[bool] = None
     j0: Optional[SimpleFunction] = None
     if psi.is_bijective:
-        h1 = radon_nikodym(phi)
-        h2 = radon_nikodym(psi)
-        space = f.space
-        h1_pull = SimpleFunction(
-            space,
-            tuple(h1.value(psi.inverse_apply(a)) for a in space.prefix_ids()),
-            None
-            if space.is_finite
-            else PointwiseTail(
-                lambda nn: h1.value(psi.inverse_apply(nn)),
-                sup_bound=h1.sup_abs(),
-                finite=h1.all_finite()[0],
-                name="h1_pullback",
-            ),
-        )
-        j0 = SimpleFunction.constant(space, 1.0).plus(h2).plus(h1_pull)
+        h1_pull = compose_apply(radon_nikodym(phi), psi.inverse())
+        j0 = SimpleFunction.constant(f.space, 1.0).plus(radon_nikodym(psi)).plus(h1_pull)
         weighted = _weighted_member(phi_fn, f, j0)
     else:
         note = "inner map not bijective: weighted facet skipped"
@@ -765,7 +620,7 @@ def boundedness_verdict(
         return BoundednessVerdict(
             BoundednessStatus.INCONCLUSIVE,
             probe_log=probes,
-            certificate="h unbounded but no closed-form witness certificate available",
+            certificate="sup h not certified, and no closed-form witness certificate available",
         )
     f_w, rho_f, scalings = witness
     return BoundednessVerdict(

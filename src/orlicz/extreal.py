@@ -32,23 +32,6 @@ def rel_close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def is_finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
-def fmt(x: float) -> str:
-    """Render a number for reports: 17 significant digits, inf spelled out."""
-    if x == INF:
-        return "inf"
-    if x == -INF:
-        return "-inf"
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    if isinstance(x, int):
-        return str(x)
-    return format(float(x), ".17g")
-
-
 def encode_json(x: Any) -> Any:
     """Make a report JSON-safe: floats to 17 significant digits with inf/nan
     spelled out, recursing through dicts, lists and tuples."""

@@ -8,6 +8,8 @@ closed-form laws, so infinite-valued phenomena stay representable.
 This module owns the certified tail-sum kernel, ``_tail_modular_bounds``:
 the one case analysis that sums phi(scale*|f|) * weight * mu beyond the
 prefix. The modular (in norms) and the tail integrals here all go through it.
+It also owns ``pullback_tail``, the one construction of the tail law of
+f o phi, which every composition (and the inverse derivative) reads.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ __all__ = [
     "DivCeilLaw",
     "PowerIndexLaw",
     "PairSwapLaw",
+    "pullback_tail",
     "weighted_measure",
     "nonsingular_check",
     "radon_nikodym",
@@ -438,13 +441,6 @@ class SimpleFunction:
     def minus(self, other: "SimpleFunction") -> "SimpleFunction":
         return self.plus(other, 1.0, -1.0)
 
-    def restrict(self, keep: Callable[[AtomId], bool], tail: Optional[TailLaw] = None) -> "SimpleFunction":
-        """Pointwise restriction on the prefix; the caller supplies the tail law."""
-        vals = tuple(v if keep(a) else 0.0 for a, v in self.items())
-        if self.space.is_finite:
-            return SimpleFunction(self.space, vals, None)
-        return SimpleFunction(self.space, vals, tail if tail is not None else ZeroTail())
-
     def to_dict(self) -> dict:
         d = {str(a): v for a, v in self.items() if v != 0.0}
         out: dict = {"values": d}
@@ -516,6 +512,13 @@ class ShiftLaw:
     def preimage(self, y: int):
         return (y - self.k,) if y > self.k else ()
 
+    def prefix_hits(self, m: int) -> tuple[int, ...]:
+        return ()
+
+    def transfer_decay(self, block: int, ratio: float, start: int, m: int):
+        # The majorant is read k atoms further on.
+        return block, ratio, max(start - self.k, 0)
+
     def h_tail(self, space: CountableSpace) -> TailLaw:
         law = space.law
         if isinstance(law, ConstantWeights):
@@ -551,6 +554,14 @@ class DivCeilLaw:
     def preimage(self, y: int):
         lo = self.d * (y - 1) + 1
         return tuple(range(lo, self.d * y + 1))
+
+    def prefix_hits(self, m: int) -> tuple[int, ...]:
+        return tuple(range(m + 1, self.d * m + 1))
+
+    def transfer_decay(self, block: int, ratio: float, start: int, m: int):
+        # Pulled-back values repeat d times, so decay needs d-fold blocks and
+        # only applies once ceil(n/d) has left the prefix.
+        return self.d * block, ratio, max(self.d * m + 1, self.d * start)
 
     def h_tail(self, space: CountableSpace) -> TailLaw:
         law = space.law
@@ -593,6 +604,16 @@ class PowerIndexLaw:
                 return (r,)
         return ()
 
+    def prefix_hits(self, m: int) -> tuple[int, ...]:
+        return ()
+
+    def transfer_decay(self, block: int, ratio: float, start: int, m: int):
+        # One step of n spans (n+1)**e - n**e >= (m+2)**e - (m+1)**e steps of
+        # a one-step certificate; longer blocks do not compose that way.
+        if block != 1:
+            return None
+        return 1, ratio ** max((m + 2) ** self.e - (m + 1) ** self.e, 1), start
+
     def h_tail(self, space: CountableSpace) -> TailLaw:
         law = space.law
 
@@ -602,7 +623,9 @@ class PowerIndexLaw:
                 return 0.0
             return law.weight(pre[0]) / law.weight(n)
 
-        return PointwiseTail(h, sup_bound=INF, finite=True, name="power_index_h")
+        # On constant weights h is 1 on e-th powers and 0 elsewhere.
+        sup = 1.0 if isinstance(law, ConstantWeights) else INF
+        return PointwiseTail(h, sup_bound=sup, finite=True, name="power_index_h")
 
     def h_seek_at_least(self, space: CountableSpace, c: float, after: int) -> Optional[int]:
         """Smallest atom y > after with h(y) >= c (h is increasing along powers)."""
@@ -633,6 +656,14 @@ class PairSwapLaw:
     def preimage(self, y: int):
         return (self.apply(y),)
 
+    def prefix_hits(self, m: int) -> tuple[int, ...]:
+        return (m + 1,) if m % 2 == 1 else ()
+
+    def transfer_decay(self, block: int, ratio: float, start: int, m: int):
+        # Swapping adjacent atoms preserves two-step decay once both members
+        # of each pair lie inside the certified region.
+        return 2 * block, ratio**2, max(m + 3, start + 1)
+
     def h_tail(self, space: CountableSpace) -> TailLaw:
         law = space.law
 
@@ -644,7 +675,9 @@ class PairSwapLaw:
         if isinstance(law, GeometricWeights):
             sup = max(law.r, 1.0 / law.r)
         elif isinstance(law, PowerLawWeights):
-            sup = ((m + 2) / (m + 1)) ** law.s
+            # h decreases along even atoms, whose first tail member is m+1
+            # at odd depth and m+2 at even depth.
+            sup = ((m + 1) / m) ** law.s if m % 2 else ((m + 2) / (m + 1)) ** law.s
         elif isinstance(law, ConstantWeights):
             sup = 1.0
         return PointwiseTail(h, sup_bound=sup, finite=True, name="pair_swap_h")
@@ -654,6 +687,56 @@ class PairSwapLaw:
 
 
 MapLaw = Union[IdentityLaw, CollapseLaw, ShiftLaw, DivCeilLaw, PowerIndexLaw, PairSwapLaw]
+
+
+def pullback_tail(f: SimpleFunction, law: MapLaw) -> TailLaw:
+    """The tail law of f o phi on a countable space: n -> f(law(n)) for n > depth.
+
+    Prefix overrides never touch the tail, so the law alone decides it. Tail
+    atoms map into the tail except the law's prefix hits, so the pullback's
+    sup, finiteness and majorant come from f's tail law and from f at the
+    images of those hits. Collapse and identity are closed forms; so is a
+    zero or constant tail of f, patched at the hits whose values differ.
+
+    The other laws supply ``prefix_hits(m)``, the tail atoms they send into
+    the prefix 1..m, and ``transfer_decay(block, ratio, start, m)``, which
+    turns f's tail certificate major(t+block) <= ratio*major(t) for t >= start
+    into the pullback's (block, ratio, start), or None.
+    """
+    m = f.space.depth
+    ft = f.tail
+    if isinstance(law, CollapseLaw):
+        return ConstantTail(f.value(law.target))
+    if isinstance(law, IdentityLaw):
+        return ft
+    hits = {n: f.value(law.apply(n)) for n in law.prefix_hits(m)}
+    if ft.is_zero() or isinstance(ft, ConstantTail):
+        base = ZeroTail() if ft.is_zero() else ft
+        patches = tuple((n, v) for n, v in hits.items() if v != base.value_at(n))
+        return PatchedTail(base, patches) if patches else base
+    if isinstance(law, ShiftLaw) and isinstance(ft, GeometricTail):
+        return GeometricTail(ft.coeff * ft.ratio**law.k, ft.ratio)
+    if isinstance(law, PowerIndexLaw) and isinstance(ft, SparseGeometricTail):
+        # Support n with n**e = base**k requires base to be an e-th power.
+        root = round(ft.base ** (1.0 / law.e))
+        if root >= 2 and root**law.e == ft.base:
+            return SparseGeometricTail(root, ft.coeff, ft.growth, ft.start)
+    db = ft.decay_block()
+    cert = law.transfer_decay(db[0], db[1], ft.decay_from(), m) if db else None
+
+    def major(n: int) -> float:
+        return abs(hits[n]) if n in hits else ft.major_at(law.apply(n))
+
+    return PointwiseTail(
+        lambda n: f.value(law.apply(n)),
+        sup_bound=max([ft.sup(), *map(abs, hits.values())]),
+        finite=ft.all_finite()[0] and all(map(math.isfinite, hits.values())),
+        block=cert[0] if cert else None,
+        block_ratio=cert[1] if cert else None,
+        block_from=cert[2] if cert else 0,
+        major_fn=major,
+        name="pullback",
+    )
 
 
 def _compose_laws(outer: "Transformation", inner_law: MapLaw) -> Optional[MapLaw]:
@@ -737,6 +820,8 @@ class Transformation:
             if not diverted:
                 return ALL_ATOMS
             return ("all_except", tuple(sorted(diverted)))
+        if not self.overrides:
+            return base  # the law's preimages are sorted tuples
         ids = set(base)
         for k, v in self.overrides:
             if v == y:
@@ -792,6 +877,16 @@ class Transformation:
             raise ValueError("transformation is not bijective")
         pre = self.preimage(y)
         return pre[0]
+
+    def inverse(self) -> "Transformation":
+        """The inverse map of a bijective transformation."""
+        if not self.is_bijective:
+            raise ValueError("transformation is not bijective")
+        if self.space.is_finite:
+            return Transformation.finite(self.space, dict(zip(self.targets, self.space.atoms)))
+        # The bijective laws are involutions, and a bijective map's overrides
+        # agree with its law, so the map is its own inverse.
+        return self
 
     def compose_after(self, inner: "Transformation") -> "Transformation":
         """The map x -> self(inner(x))."""
@@ -863,12 +958,6 @@ class Partition:
         if set(self.space.prefix_ids()) != seen:
             raise ValueError("blocks must cover the space")
 
-    def block_of(self, atom: AtomId) -> frozenset:
-        for b in self.blocks:
-            if atom in b:
-                return b
-        raise KeyError(atom)
-
     def iter_blocks(self):
         return self.blocks
 
@@ -882,9 +971,6 @@ class FiberPartition:
     @property
     def space(self) -> Space:
         return self.transformation.space
-
-    def block_of(self, atom: AtomId):
-        return self.transformation.preimage(self.transformation.apply(atom))
 
     def iter_blocks(self):
         """Blocks meeting the prefix, each as the full untruncated fiber."""
@@ -1028,13 +1114,14 @@ def _tail_modular_bounds(
         # Decay-certified bases fall through to the generic series, whose
         # certificate start already sits beyond the last patch.
     if isinstance(tail, ConstantTail):
-        c = phi(scale * tail.value)
-        if wt is None:
-            v = xmul(c, law.tail_mass(m))
-            return v, v
-        if c == 0.0:
+        x = abs(scale * tail.value)
+        c = phi(x)
+        if c == 0.0 and x <= phi.zero_radius():
             return 0.0, 0.0
-        wlo, whi = _tail_integral_bounds(wt, space)
+        wlo, whi = (law.tail_mass(m),) * 2 if wt is None else _tail_integral_bounds(wt, space)
+        if c == 0.0:
+            # An underflow: phi(x) is positive, so infinite mass still sums to +inf.
+            return (INF if wlo == INF else 0.0), xmul(_underflow_cap(phi, x), whi)
         return xmul(c, wlo), xmul(c, whi)
     if isinstance(tail, SparseGeometricTail):
         power = phi.as_power()
@@ -1079,9 +1166,12 @@ def _tail_modular_bounds(
                 )
     sup = tail.sup()
     if sup != INF:
-        c = phi(scale * sup)
+        x = abs(scale * sup)
+        c = phi(x)
         if c == 0.0:
-            return 0.0, 0.0  # the whole tail sits inside the zero set of phi
+            if x <= phi.zero_radius():
+                return 0.0, 0.0  # the whole tail sits inside the zero set of phi
+            c = _underflow_cap(phi, x)
         wsup = wt.sup() if wt is not None else 1.0
         if law.tail_mass(m) != INF and wsup != INF:
             explicit = sum(
@@ -1091,6 +1181,13 @@ def _tail_modular_bounds(
             bound = xmul(xmul(c, wsup), law.tail_mass(m + 64))
             return explicit, explicit + bound
     return 0.0, INF
+
+
+def _underflow_cap(phi: YoungFunction, x: float) -> float:
+    """A certified upper bound for phi(x) where it underflows to 0.0 beyond
+    the zero set: phi(x) <= x * phi(1) for x <= 1 by convexity, doubled and
+    raised by the least subnormal against rounding."""
+    return 2.0 * x * phi(1.0) + math.ulp(0.0) if x <= 1.0 else INF
 
 
 def _certified_series(term: Callable[[int], float], m: int, block: int, q: float,
@@ -1219,33 +1316,9 @@ def iterated_rn(phi: Transformation, i: int) -> SimpleFunction:
 
 
 def inverse_rn(phi: Transformation) -> SimpleFunction:
-    """h_{-1}(x) = mu({phi(x)}) / mu({x}); requires a bijective phi."""
-    if not phi.is_bijective:
-        raise ValueError("inverse derivative requires a bijective transformation")
-    space = phi.space
-    vals = tuple(space.weight(phi.apply(a)) / space.weight(a) for a in space.prefix_ids())
-    if space.is_finite:
-        return SimpleFunction(space, vals, None)
-    law = phi.law
-
-    def hv(n: int) -> float:
-        return space.weight(law.apply(n)) / space.weight(n)
-
-    if isinstance(law, IdentityLaw):
-        tail: TailLaw = ConstantTail(1.0)
-    else:
-        tail = PointwiseTail(hv, sup_bound=_swap_sup(space), finite=True, name="inverse_rn")
-    return SimpleFunction(space, vals, tail)
-
-
-def _swap_sup(space: CountableSpace) -> float:
-    law = space.law
-    m = space.depth
-    if isinstance(law, GeometricWeights):
-        return max(law.r, 1.0 / law.r)
-    if isinstance(law, ConstantWeights):
-        return 1.0
-    return ((m + 2) / (m + 1)) ** law.s
+    """h_{-1}(x) = mu({phi(x)}) / mu({x}), the derivative of the inverse map;
+    requires a bijective phi."""
+    return radon_nikodym(phi.inverse())
 
 
 # ---------------------------------------------------------------------------

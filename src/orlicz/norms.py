@@ -30,7 +30,7 @@ from .measure import (
     _tail_modular_bounds,
     _tail_signed_integral,
 )
-from .tails import ConstantTail, SparseGeometricTail, UnresolvedTail, tail_product
+from .tails import ConstantTail, PatchedTail, SparseGeometricTail, UnresolvedTail, tail_product
 from .young import HardCap, YoungFunction
 
 __all__ = [
@@ -162,6 +162,8 @@ def _diverges_for_all_scalings(phi: YoungFunction, f: SimpleFunction) -> Optiona
     if space.is_finite:
         return None
     t = f.tail
+    if isinstance(t, PatchedTail):
+        t = t.base  # finitely many patches cannot cancel infinite mass
     if isinstance(t, ConstantTail) and t.value != 0.0:
         if space.law.tail_mass(space.depth) == INF and phi.zero_radius() == 0.0:
             return "nonzero constant tail over infinite mass"

@@ -305,3 +305,38 @@ class TestTailKernel:
         sp = fs([("a", 1.0), ("b", 1.0)])
         g = SimpleFunction(sp, (INF, 1.0), None)
         assert modular(XLogX(), g) == INF
+
+
+class TestTailUnderflow:
+    """phi(x) = 0.0 beyond the zero set of phi is an underflow, not a zero."""
+
+    def test_constant_tail_over_infinite_mass_at_tiny_scale(self):
+        from orlicz import modular_bounds
+
+        sp = CountableSpace(ConstantWeights(1.0), depth=4)
+        f = SimpleFunction(sp, (0.0,) * 4, ConstantTail(1.0))
+        assert modular_bounds(PowerAbs(2.0), f, scale=1e-200) == (INF, INF)
+
+    def test_constant_tail_over_finite_mass_at_tiny_scale(self):
+        from orlicz import modular_bounds
+
+        sp = CountableSpace(GeometricWeights(1.0, 0.5), depth=4)
+        f = SimpleFunction(sp, (0.0,) * 4, ConstantTail(1.0))
+        lo, hi = modular_bounds(PowerAbs(2.0), f, scale=1e-200)
+        assert lo == 0.0 and 0.0 < hi <= 1e-199
+
+    def test_sup_bound_over_infinite_mass_at_tiny_scale(self):
+        from orlicz import PointwiseTail, modular_bounds
+
+        sp = CountableSpace(ConstantWeights(1.0), depth=4)
+        f = SimpleFunction(sp, (0.0,) * 4, PointwiseTail(lambda n: 1.0, sup_bound=1.0))
+        assert modular_bounds(PowerAbs(2.0), f, scale=1e-200) == (0.0, INF)
+
+    def test_patched_constant_tail_over_infinite_mass_is_not_in_the_space(self):
+        from orlicz import PatchedTail
+
+        sp = CountableSpace(ConstantWeights(1.0), depth=4)
+        f = SimpleFunction(sp, (0.0,) * 4, PatchedTail(ConstantTail(1.0), ((5, 2.0),)))
+        nr = luxemburg_norm(PowerAbs(2.0), f)
+        assert nr.value == INF
+        assert nr.note.startswith("not in the space")
