@@ -23,7 +23,9 @@ from .scenario import (
     Scenario,
     ScenarioError,
     load_scenario,
+    parse_scenario,
     parse_young_spec,
+    read_document,
     serialize_scenario,
 )
 from .suite import verify_suite
@@ -58,18 +60,11 @@ def _scenario_from_args(args) -> Optional[Scenario]:
     if getattr(args, "scenario", None):
         if args.depth is not None:
             # Truncation-depth override: patch the document and re-validate.
-            import json as _json
-
-            from .scenario import parse_scenario
-
-            try:
-                with open(args.scenario) as fh:
-                    doc = _json.load(fh)
-            except (OSError, _json.JSONDecodeError) as exc:
-                raise ScenarioError(f"cannot read scenario {args.scenario}: {exc}") from exc
-            if doc.get("space", {}).get("kind") != "countable":
+            doc = read_document(args.scenario)
+            space = doc.get("space")
+            if not isinstance(space, dict) or space.get("kind") != "countable":
                 raise ScenarioError("--depth only applies to countable spaces")
-            doc["space"]["depth"] = args.depth
+            space["depth"] = args.depth
             return parse_scenario(doc)
         return load_scenario(args.scenario)
     return None

@@ -9,7 +9,7 @@ This module owns the certified tail-sum kernel, ``_tail_modular_bounds``:
 the one case analysis that sums phi(scale*|f|) * weight * mu beyond the
 prefix. The modular (in norms) and the tail integrals here all go through it.
 It also owns ``pullback_tail``, the one construction of the tail law of
-f o phi, which every composition (and the inverse derivative) reads.
+f o phi, which every composition, conditional expectation included, reads.
 """
 
 from __future__ import annotations
@@ -801,10 +801,13 @@ class Transformation:
         if self.space.is_finite:
             return self.targets[self.space.index_of(atom)]
         n = int(atom)
-        for k, v in self.overrides:
-            if k == n:
-                return v
-        return self.law.apply(n)
+        t = self._override_map.get(n)
+        return self.law.apply(n) if t is None else t
+
+    @cached_property
+    def _override_map(self) -> dict:
+        """Countable maps: prefix atom -> override target (the first one wins)."""
+        return dict(reversed(self.overrides))
 
     def preimage(self, y: AtomId):
         """Full (untruncated) preimage of the atom y: a tuple of atoms, or
@@ -840,8 +843,11 @@ class Transformation:
 
     @cached_property
     def _fiber_mass(self) -> np.ndarray:
-        """Finite maps: mu(phi^{-1}{y}) for every atom y, summed in atom order."""
+        """mu(phi^{-1}{y}) for every prefix atom y, summed in atom order: the
+        fiber-mass table behind radon_nikodym."""
         space = self.space
+        if not space.is_finite:
+            return _read_only([self.fiber_measure(y) for y in space.prefix_ids()])
         targets = np.fromiter((space.index_of(t) for t in self.targets), dtype=np.intp,
                               count=len(self.targets))
         return _read_only(np.bincount(targets, weights=space.weight_vector,
@@ -849,14 +855,8 @@ class Transformation:
 
     def fiber_measure(self, y: AtomId) -> float:
         pre = self.preimage(y)
-        if pre == ALL_ATOMS:
-            return self.space.total_mass()
-        if isinstance(pre, tuple) and pre and pre[0] == "all_except":
-            total = self.space.total_mass()
-            removed = sum(self.space.weight(a) for a in pre[1])
-            if total == INF:
-                return INF
-            return total - removed
+        if pre == ALL_ATOMS or pre[:1] == ("all_except",):
+            return _mass_except(self.space, pre[1] if pre != ALL_ATOMS else ())
         # Summed one by one in atom order, as np.bincount sums the fiber
         # masses behind radon_nikodym, so the two agree to the last bit.
         total = 0.0
@@ -1275,38 +1275,32 @@ def nonsingular_check(phi: Transformation) -> Verdict:
 def radon_nikodym(phi: Transformation) -> SimpleFunction:
     """Density of mu o phi^{-1} against mu: fiber measure over atom weight."""
     space = phi.space
+    # A prefix weight that underflows to 0.0 leaves h undefined: refuse it.
+    with np.errstate(divide="raise", invalid="raise"):
+        vals = tuple((phi._fiber_mass / space.weight_vector).tolist())
     if space.is_finite:
-        h = phi._fiber_mass / space.weight_vector
-        return SimpleFunction(space, tuple(h.tolist()), None)
-    vals = []
-    for y in space.prefix_ids():
-        fm = phi.fiber_measure(y)
-        w = space.weight(y)
-        vals.append(fm / w if fm != INF else INF)
+        return SimpleFunction(space, vals, None)
     tail = phi.law.h_tail(space)
     patches = _h_tail_patches(phi)
     if patches:
         tail = PatchedTail(tail, tuple(sorted(patches.items())))
-    return SimpleFunction(space, tuple(vals), tail)
+    return SimpleFunction(space, vals, tail)
 
 
 def _h_tail_patches(phi: Transformation) -> dict[int, float]:
     """Tail atoms whose fibers deviate from the law's tail description:
     override-touched atoms and a collapse target sitting beyond the prefix."""
     space = phi.space
-    patches: dict[int, float] = {}
-    touched: set[int] = set()
-    for k, v in phi.overrides:
-        lawt = phi.law.apply(k)
-        if lawt > space.depth:
-            touched.add(lawt)
-        if v > space.depth:
-            touched.add(v)
+    touched = {t for k, v in phi.overrides for t in (phi.law.apply(k), v) if t > space.depth}
     if isinstance(phi.law, CollapseLaw) and phi.law.target > space.depth:
         touched.add(phi.law.target)
+    patches: dict[int, float] = {}
     for y in touched:
-        fm = phi.fiber_measure(y)
-        patches[y] = fm / space.weight(y) if fm != INF else INF
+        if phi.preimage(y):
+            fm = phi.fiber_measure(y)
+            patches[y] = fm / space.weight(y) if fm != INF else INF
+        else:
+            patches[y] = 0.0  # an empty fiber, also where mu({y}) underflows to 0.0
     return patches
 
 
@@ -1326,41 +1320,39 @@ def inverse_rn(phi: Transformation) -> SimpleFunction:
 # ---------------------------------------------------------------------------
 
 
+def _mass_except(space: CountableSpace, excluded) -> float:
+    """mu of the space without the prefix atoms ``excluded``, summed directly:
+    subtracting them from the total cancels where the tail mass is light."""
+    kept = [space.law.weight(n) for n in space.prefix_ids() if n not in excluded]
+    return xsum(kept + [space.tail_mass()])
+
+
+def _extended_total(terms: list[float]) -> float:
+    """Sum in order; +-inf when a term is, refused when both signs are."""
+    num = 0.0
+    for t in terms:
+        num += t
+    if math.isfinite(num):
+        return num
+    pos, neg = INF in terms, -INF in terms
+    if pos and neg:
+        raise ValueError("block integrates +inf against -inf")
+    return INF if pos else -INF if neg else num
+
+
 def _block_average(f: SimpleFunction, block) -> float:
     space = f.space
-    if block == ALL_ATOMS or (isinstance(block, tuple) and block and block[0] == "all_except"):
+    if block == ALL_ATOMS or block[:1] == ("all_except",):
         excluded = set(block[1]) if block != ALL_ATOMS else set()
-        num = 0.0
-        has_pos_inf = has_neg_inf = False
-        for a, v in f.items():
-            if a in excluded:
-                continue
-            t = xmul(v, space.weight(a))
-            if t == INF:
-                has_pos_inf = True
-            elif t == -INF:
-                has_neg_inf = True
-            else:
-                num += t
         tlo, thi = _tail_signed_integral(f.tail, space)
         if thi - tlo > 1e-12 * max(1.0, abs(tlo)) and not tlo == thi:
             raise UnresolvedTail("block average needs a resolvable tail integral", lower=tlo, upper=thi)
-        if tlo == INF:
-            has_pos_inf = True
-        elif tlo == -INF:
-            has_neg_inf = True
-        else:
-            num += tlo
-        if has_pos_inf and has_neg_inf:
-            raise ValueError("block integrates +inf against -inf")
-        if has_pos_inf:
-            return INF
-        if has_neg_inf:
-            return -INF
-        den = space.total_mass() - sum(space.weight(a) for a in excluded)
-        if den == INF:
-            return 0.0
-        return num / den
+        terms = [xmul(v, space.weight(a)) for a, v in f.items() if a not in excluded] + [tlo]
+        den = _mass_except(space, excluded)
+        if den == INF and all(map(math.isfinite, terms)):
+            return 0.0  # a finite integral over infinite mass
+        num = _extended_total(terms)
+        return num if math.isinf(num) else num / den
     weights = [space.weight(a) for a in block]
     den = 0.0
     for w in weights:
@@ -1371,23 +1363,8 @@ def _block_average(f: SimpleFunction, block) -> float:
         top = max(logs)
         weights = [math.exp(lw - top) for lw in logs]
         den = math.fsum(weights)
-    num = 0.0
-    has_pos_inf = has_neg_inf = False
-    for a, w in zip(block, weights):
-        t = xmul(f.value(a), w)
-        if t == INF:
-            has_pos_inf = True
-        elif t == -INF:
-            has_neg_inf = True
-        else:
-            num += t
-    if has_pos_inf and has_neg_inf:
-        raise ValueError("block integrates +inf against -inf")
-    if has_pos_inf:
-        return INF
-    if has_neg_inf:
-        return -INF
-    return num / den
+    num = _extended_total(list(map(xmul, map(f.value, block), weights)))
+    return num if math.isinf(num) else num / den
 
 
 def conditional_expectation(f: SimpleFunction, partition) -> SimpleFunction:
@@ -1405,22 +1382,11 @@ def conditional_expectation(f: SimpleFunction, partition) -> SimpleFunction:
         averages = [_block_average(f, m) for m in members]
         return SimpleFunction(space, tuple(averages[block_index[a]] for a in space.atoms), None)
     if isinstance(partition, FiberPartition):
+        # E(f | phi^{-1} Sigma) is the fiber average read at phi(x).
         phi = partition.transformation
-        cache: dict = {}
-
-        def avg_for(atom) -> float:
-            t = phi.apply(atom)
-            if t not in cache:
-                cache[t] = _block_average(f, phi.preimage(t))
-            return cache[t]
-
-        vals = tuple(avg_for(a) for a in space.prefix_ids())
-        if space.is_finite:
-            return SimpleFunction(space, vals, None)
-        sup = f.sup_abs()
-        tail = PointwiseTail(lambda n: avg_for(n), sup_bound=sup,
-                             finite=sup != INF, name="conditional_expectation")
-        return SimpleFunction(space, vals, tail)
+        avg = fiber_average(f, phi)
+        vals = tuple(avg.value(phi.apply(a)) for a in space.prefix_ids())
+        return SimpleFunction(space, vals, None if space.is_finite else pullback_tail(avg, phi.law))
     raise TypeError(f"unsupported partition type {type(partition)!r}")
 
 
@@ -1433,20 +1399,19 @@ def fiber_average(g: SimpleFunction, phi: Transformation) -> SimpleFunction:
     def value(y) -> float:
         if y not in cache:
             pre = phi.preimage(y)
-            if pre == () or pre == ("all_except", tuple()):
-                cache[y] = 0.0
-            else:
-                cache[y] = _block_average(g, pre)
+            cache[y] = _block_average(g, pre) if pre else 0.0
         return cache[y]
 
     vals = tuple(value(y) for y in space.prefix_ids())
     if space.is_finite:
         return SimpleFunction(space, vals, None)
     sup = g.sup_abs()
-    return SimpleFunction(
-        space, vals,
-        PointwiseTail(lambda n: value(n), sup_bound=sup, finite=sup != INF, name="fiber_average"),
-    )
+    tail = PointwiseTail(value, sup_bound=sup, finite=sup != INF, name="fiber_average")
+    if isinstance(phi.law, CollapseLaw) and phi.law.target > space.depth:
+        # The collapse fiber may have infinite mass, so its average is not
+        # bounded by sup|g|; the patch keeps it in the tail's certificates.
+        tail = PatchedTail(tail, ((phi.law.target, value(phi.law.target)),))
+    return SimpleFunction(space, vals, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,12 @@ def _num(x, where: str) -> float:
     return float(x)
 
 
+def _section(x, where: str) -> dict:
+    if not isinstance(x, dict):
+        raise ScenarioError(f"{where}: expected a JSON object, got {type(x).__name__}")
+    return x
+
+
 def _young_from_dict(d: dict, named: dict[str, YoungFunction], where: str) -> YoungFunction:
     if not isinstance(d, dict) or "family" not in d:
         raise ScenarioError(f"{where}: Young function needs a 'family'")
@@ -148,7 +154,7 @@ def parse_young_spec(text: str) -> YoungFunction:
 def _tail_from_dict(d: Optional[dict], where: str) -> Optional[TailLaw]:
     if d is None:
         return None
-    fam = d.get("family")
+    fam = _section(d, f"{where}.tail").get("family")
     if fam == "zero":
         return ZeroTail()
     if fam == "constant":
@@ -165,12 +171,14 @@ def _tail_from_dict(d: Optional[dict], where: str) -> Optional[TailLaw]:
 
 
 def _space_from_dict(d: dict) -> Space:
-    kind = d.get("kind")
+    kind = _section(d, "space").get("kind")
     if kind == "finite":
-        pairs = [(str(a), _num(w, "space.atoms")) for a, w in d["atoms"]]
-        return FiniteSpace.from_pairs(pairs)
+        atoms = d.get("atoms")
+        if not isinstance(atoms, list) or not all(isinstance(p, list) and len(p) == 2 for p in atoms):
+            raise ScenarioError("space.atoms: expected a list of [atom, weight] pairs")
+        return FiniteSpace.from_pairs([(str(a), _num(w, "space.atoms")) for a, w in atoms])
     if kind == "countable":
-        wl = d.get("weight_law", {})
+        wl = _section(d.get("weight_law", {}), "space.weight_law")
         fam = wl.get("family")
         if fam == "constant":
             law = ConstantWeights(_num(wl["c"], "weight_law"))
@@ -195,11 +203,11 @@ _MAP_LAWS = {
 
 
 def _map_from_dict(d: dict, space: Space, where: str) -> Transformation:
-    kind = d.get("kind", "explicit" if space.is_finite else "law")
+    kind = _section(d, where).get("kind", "explicit" if space.is_finite else "law")
     if kind == "explicit":
         if not space.is_finite:
             raise ScenarioError(f"{where}: explicit maps need a finite space")
-        mapping = {str(k): str(v) for k, v in d["map"].items()}
+        mapping = {str(k): str(v) for k, v in _section(d.get("map"), f"{where}.map").items()}
         missing = set(space.atoms) - set(mapping)
         if missing:
             raise ScenarioError(f"{where}: map missing atoms {sorted(missing)}")
@@ -218,7 +226,8 @@ def _map_from_dict(d: dict, space: Space, where: str) -> Transformation:
         if base not in _MAP_LAWS:
             raise ScenarioError(f"{where}: unknown map law {name!r}")
         law = _MAP_LAWS[base](args)
-        overrides = {int(k): int(v) for k, v in d.get("overrides", {}).items()}
+        ov = _section(d.get("overrides", {}), f"{where}.overrides")
+        overrides = {int(k): int(v) for k, v in ov.items()}
         return Transformation.from_law(space, law, overrides)
     raise ScenarioError(f"{where}: unknown map kind {kind!r}")
 
@@ -228,13 +237,13 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError("scenario needs a 'space' section")
     space = _space_from_dict(doc["space"])
     youngs: dict[str, YoungFunction] = {}
-    for name, yd in (doc.get("young") or {}).items():
+    for name, yd in _section(doc.get("young") or {}, "young").items():
         youngs[name] = _young_from_dict(yd, youngs, f"young.{name}")
     functions: dict[str, SimpleFunction] = {}
-    for name, fd in (doc.get("functions") or {}).items():
+    for name, fd in _section(doc.get("functions") or {}, "functions").items():
         where = f"functions.{name}"
         values = {}
-        for atom, v in (fd.get("values") or {}).items():
+        for atom, v in _section(_section(fd, where).get("values") or {}, f"{where}.values").items():
             key: object = atom if space.is_finite else int(atom)
             try:
                 space.index_of(key)
@@ -244,21 +253,25 @@ def parse_scenario(doc: dict) -> Scenario:
         tail = _tail_from_dict(fd.get("tail"), where)
         functions[name] = SimpleFunction.from_dict(space, values, tail)
     maps: dict[str, Transformation] = {}
-    for name, md in (doc.get("maps") or {}).items():
+    for name, md in _section(doc.get("maps") or {}, "maps").items():
         maps[name] = _map_from_dict(md, space, f"maps.{name}")
-    params = dict(doc.get("params") or {})
+    params = dict(_section(doc.get("params") or {}, "params"))
     return Scenario(space, youngs, functions, maps, params)
 
 
-def load_scenario(path: str) -> Scenario:
+def read_document(path: str) -> dict:
+    """The top-level JSON object of a scenario file, its sections unvalidated."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return _section(json.load(fh), "scenario")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario {path} is not valid JSON (line {exc.lineno})") from exc
-    return parse_scenario(doc)
+
+
+def load_scenario(path: str) -> Scenario:
+    return parse_scenario(read_document(path))
 
 
 def serialize_scenario(sc: Scenario) -> dict:

@@ -265,3 +265,52 @@ class TestNanRefused:
         assert proc.returncode == 2
         assert "bad number" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+
+class TestMalformedSections:
+    """A section of the wrong JSON type is a scenario error (exit 2) that
+    names the section, not a traceback."""
+
+    @staticmethod
+    def _write(tmp_path, base, path, value):
+        doc = json.loads(open(base).read())
+        if path:
+            cur = doc
+            for key in path[:-1]:
+                cur = cur[key]
+            cur[path[-1]] = value
+        else:
+            doc = value
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(doc))
+        return str(scenario)
+
+    @pytest.mark.parametrize("base, path, value, extra, where", [
+        (SCEN, (), [1, 2], ["--depth", "5"], "scenario"),
+        (SCEN, (), [1, 2], [], "scenario"),
+        (SCEN, ("space",), [1], [], "space"),
+        (GEO, ("space", "weight_law"), [1], [], "space.weight_law"),
+        (SCEN, ("space", "atoms"), 5, [], "space.atoms"),
+        (SCEN, ("space", "atoms"), [1], [], "space.atoms"),
+        (SCEN, ("functions", "f"), [1], [], "functions.f"),
+        (SCEN, ("functions", "f", "values"), [1], [], "functions.f.values"),
+        (GEO, ("functions", "f", "tail"), [1], [], "functions.f.tail"),
+        (SCEN, ("maps", "collapse"), [1], [], "maps.collapse"),
+        (SCEN, ("maps", "collapse", "map"), [1], [], "maps.collapse.map"),
+        (GEO, ("maps", "collapse", "overrides"), [1], [], "maps.collapse.overrides"),
+        (SCEN, ("params",), [1], [], "params"),
+        (SCEN, ("young",), [1], [], "young"),
+    ])
+    def test_exit_2_naming_the_section(self, tmp_path, capsys, base, path, value, extra, where):
+        scenario = self._write(tmp_path, base, path, value)
+        assert main(["hderiv", "collapse", "--scenario", scenario, *extra]) == 2
+        assert f"scenario error: {where}: " in capsys.readouterr().err
+
+    def test_depth_override_reads_like_load_scenario(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text("{")
+        assert main(["hderiv", "collapse", "--scenario", str(scenario)]) == 2
+        plain = capsys.readouterr().err
+        assert main(["hderiv", "collapse", "--scenario", str(scenario), "--depth", "5"]) == 2
+        assert capsys.readouterr().err == plain and "not valid JSON" in plain
