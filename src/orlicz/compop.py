@@ -75,9 +75,9 @@ def compose_apply(f: SimpleFunction, phi: Transformation) -> SimpleFunction:
     space = phi.space
     if f.space != space:
         raise ValueError("function and transformation live on different spaces")
-    vals = tuple(f.value(phi.apply(a)) for a in space.prefix_ids())
     if space.is_finite:
-        return SimpleFunction(space, vals, None)
+        return SimpleFunction(space, tuple(f.value_vector[phi._target_index].tolist()), None)
+    vals = tuple(f.value(phi.apply(a)) for a in space.prefix_ids())
     return SimpleFunction(space, vals, pullback_tail(f, phi.law))
 
 

@@ -204,8 +204,8 @@ class PowerLawWeights:
 WeightLaw = Union[ConstantWeights, GeometricWeights, PowerLawWeights]
 
 
-def _read_only(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _read_only(values, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -390,9 +390,9 @@ class SimpleFunction:
         return self.space.is_finite or self.tail.is_zero()
 
     def all_finite(self) -> tuple[bool, Optional[AtomId]]:
-        for a, v in self.items():
-            if v == INF or v == -INF:
-                return False, a
+        infinite = np.flatnonzero(np.isinf(self.value_vector))
+        if infinite.size:
+            return False, self.space.prefix_ids()[infinite[0]]
         if not self.space.is_finite:
             ok, w = self.tail.all_finite()
             if not ok:
@@ -400,7 +400,7 @@ class SimpleFunction:
         return True, None
 
     def sup_abs(self) -> float:
-        s = max((abs(v) for v in self.values), default=0.0)
+        s = float(np.max(np.abs(self.value_vector), initial=0.0))
         if not self.space.is_finite:
             s = max(s, self.tail.sup())
         return s
@@ -842,20 +842,23 @@ class Transformation:
         return {t: tuple(src) for t, src in fibers.items()}
 
     @cached_property
+    def _target_index(self) -> np.ndarray:
+        """Finite maps: the index of phi(a) for every atom a, in atom order."""
+        return _read_only(list(map(self.space.index_of, self.targets)), np.intp)
+
+    @cached_property
     def _fiber_mass(self) -> np.ndarray:
         """mu(phi^{-1}{y}) for every prefix atom y, summed in atom order: the
         fiber-mass table behind radon_nikodym."""
         space = self.space
         if not space.is_finite:
             return _read_only([self.fiber_measure(y) for y in space.prefix_ids()])
-        targets = np.fromiter((space.index_of(t) for t in self.targets), dtype=np.intp,
-                              count=len(self.targets))
-        return _read_only(np.bincount(targets, weights=space.weight_vector,
+        return _read_only(np.bincount(self._target_index, weights=space.weight_vector,
                                       minlength=len(space.atoms)))
 
     def fiber_measure(self, y: AtomId) -> float:
         pre = self.preimage(y)
-        if pre == ALL_ATOMS or pre[:1] == ("all_except",):
+        if _is_cofinite(self.space, pre):
             return _mass_except(self.space, pre[1] if pre != ALL_ATOMS else ())
         # Summed one by one in atom order, as np.bincount sums the fiber
         # masses behind radon_nikodym, so the two agree to the last bit.
@@ -961,6 +964,12 @@ class Partition:
     def iter_blocks(self):
         return self.blocks
 
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """The block index of every prefix atom, in atom order."""
+        index = {a: i for i, b in enumerate(self.blocks) for a in b}
+        return _read_only(list(map(index.__getitem__, self.space.prefix_ids())), np.intp)
+
 
 @dataclass(frozen=True)
 class FiberPartition:
@@ -985,10 +994,14 @@ class FiberPartition:
 
 def fiber_partition(phi: Transformation):
     """Realize the preimage sigma-algebra of phi as a partition into fibers."""
-    if phi.space.is_finite:
-        fibers = phi._fibers
-        return Partition(phi.space, tuple(frozenset(fibers[y]) for y in phi.space.atoms if y in fibers))
-    return FiberPartition(phi)
+    space = phi.space
+    if not space.is_finite:
+        return FiberPartition(phi)
+    # Blocks in the atom order of their targets, and each atom's block index.
+    hit, labels = np.unique(phi._target_index, return_inverse=True)
+    part = Partition(space, tuple(frozenset(phi._fibers[space.atoms[y]]) for y in hit.tolist()))
+    object.__setattr__(part, "_labels", _read_only(labels, np.intp))
+    return part
 
 
 # ---------------------------------------------------------------------------
@@ -1340,9 +1353,16 @@ def _extended_total(terms: list[float]) -> float:
     return INF if pos else -INF if neg else num
 
 
+def _is_cofinite(space: Space, block) -> bool:
+    """Is the preimage ``block`` ALL_ATOMS or ("all_except", atoms)? Only
+    countable maps have those; a finite preimage is a plain atom tuple, even
+    where an atom is named "all_except"."""
+    return not space.is_finite and (block == ALL_ATOMS or block[:1] == ("all_except",))
+
+
 def _block_average(f: SimpleFunction, block) -> float:
     space = f.space
-    if block == ALL_ATOMS or block[:1] == ("all_except",):
+    if _is_cofinite(space, block):
         excluded = set(block[1]) if block != ALL_ATOMS else set()
         tlo, thi = _tail_signed_integral(f.tail, space)
         if thi - tlo > 1e-12 * max(1.0, abs(tlo)) and not tlo == thi:
@@ -1367,6 +1387,27 @@ def _block_average(f: SimpleFunction, block) -> float:
     return num if math.isinf(num) else num / den
 
 
+def _block_means(f: SimpleFunction, labels: np.ndarray, nblocks: int) -> np.ndarray:
+    """The weighted mean of f on each block ``labels == b`` of a finite space,
+    0.0 on empty blocks.
+
+    np.bincount sums f*w and w in atom order, as _block_average does, so each
+    finite mean agrees with it to the last bit. A block whose sum is not
+    finite (an infinite value, or f*w beyond the float range) or whose mass
+    underflows below the normal range is left to _block_average, which owns
+    the +-inf rules and the rescaling of tiny weights.
+    """
+    w = f.space.weight_vector
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = np.bincount(labels, weights=f.value_vector * w, minlength=nblocks)
+        den = np.bincount(labels, weights=w, minlength=nblocks)
+        means = np.divide(num, den, out=np.zeros(nblocks), where=den > 0.0)
+    for b in np.flatnonzero((den > 0.0) & ~(np.isfinite(num) & (den >= sys.float_info.min))):
+        block = tuple(a for a, label in zip(f.space.atoms, labels) if label == b)
+        means[b] = _block_average(f, block)
+    return means
+
+
 def conditional_expectation(f: SimpleFunction, partition) -> SimpleFunction:
     """Block-averaging projection: constant on each block with the weighted
     mean value, so the averaging identity holds exactly per block."""
@@ -1375,12 +1416,9 @@ def conditional_expectation(f: SimpleFunction, partition) -> SimpleFunction:
         if not space.is_finite:
             raise ValueError("explicit partitions are only supported on finite spaces")
         # Average each block in atom order, not in (hash-seeded) frozenset order.
-        block_index = {a: i for i, b in enumerate(partition.iter_blocks()) for a in b}
-        members: list[list] = [[] for _ in partition.iter_blocks()]
-        for a in space.atoms:
-            members[block_index[a]].append(a)
-        averages = [_block_average(f, m) for m in members]
-        return SimpleFunction(space, tuple(averages[block_index[a]] for a in space.atoms), None)
+        labels = partition._labels
+        means = _block_means(f, labels, len(partition.blocks))
+        return SimpleFunction(space, tuple(means[labels].tolist()), None)
     if isinstance(partition, FiberPartition):
         # E(f | phi^{-1} Sigma) is the fiber average read at phi(x).
         phi = partition.transformation
@@ -1394,6 +1432,9 @@ def fiber_average(g: SimpleFunction, phi: Transformation) -> SimpleFunction:
     """Per-target block value of the conditional expectation onto phi's fiber
     algebra, assigned at the fiber's image atom; 0 where the fiber is empty."""
     space = g.space
+    if space.is_finite:
+        means = _block_means(g, phi._target_index, len(space.atoms))
+        return SimpleFunction(space, tuple(means.tolist()), None)
     cache: dict = {}
 
     def value(y) -> float:
@@ -1403,8 +1444,6 @@ def fiber_average(g: SimpleFunction, phi: Transformation) -> SimpleFunction:
         return cache[y]
 
     vals = tuple(value(y) for y in space.prefix_ids())
-    if space.is_finite:
-        return SimpleFunction(space, vals, None)
     sup = g.sup_abs()
     tail = PointwiseTail(value, sup_bound=sup, finite=sup != INF, name="fiber_average")
     if isinstance(phi.law, CollapseLaw) and phi.law.target > space.depth:
