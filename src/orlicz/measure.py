@@ -385,7 +385,7 @@ class SimpleFunction:
         return zip(self.space.prefix_ids(), self.values)
 
     def is_zero(self) -> bool:
-        if any(v != 0.0 for v in self.values):
+        if self.value_vector.any():
             return False
         return self.space.is_finite or self.tail.is_zero()
 
@@ -626,19 +626,6 @@ class PowerIndexLaw:
         # On constant weights h is 1 on e-th powers and 0 elsewhere.
         sup = 1.0 if isinstance(law, ConstantWeights) else INF
         return PointwiseTail(h, sup_bound=sup, finite=True, name="power_index_h")
-
-    def h_seek_at_least(self, space: CountableSpace, c: float, after: int) -> Optional[int]:
-        """Smallest atom y > after with h(y) >= c (h is increasing along powers)."""
-        law = space.law
-        m = max(2, int(after ** (1.0 / self.e)))
-        for _ in range(10000):
-            y = m**self.e
-            if y > after:
-                h = law.weight(m) / law.weight(y)
-                if h >= c:
-                    return y
-            m += 1
-        return None
 
     def label(self):
         return f"power_index:{self.e}"

@@ -37,6 +37,7 @@ from .tails import (
     ZeroTail,
 )
 from .young import (
+    AbsValue,
     ExpMinusOne,
     HardCap,
     PiecewiseLinearConvex,
@@ -96,24 +97,29 @@ def _section(x, where: str) -> dict:
     return x
 
 
+# The closed-form Young families: name -> (constructor, parameter names in
+# the order of the inline spec, e.g. scaled_power:<coeff>:<p>).
+_YOUNG_FAMILIES = {
+    "power_abs": (PowerAbs, ("p",)),
+    "power_over_p": (PowerOverP, ("p",)),
+    "scaled_power": (ScaledPower, ("coeff", "p")),
+    "abs_value": (AbsValue, ()),
+    "exp_minus_one": (ExpMinusOne, ()),
+    "x_log_x": (XLogX, ()),
+    "hard_cap": (HardCap, ("cap",)),
+}
+
+
 def _young_from_dict(d: dict, named: dict[str, YoungFunction], where: str) -> YoungFunction:
     if not isinstance(d, dict) or "family" not in d:
         raise ScenarioError(f"{where}: Young function needs a 'family'")
     fam = d["family"]
-    if fam == "power_abs":
-        return PowerAbs(_num(d["p"], where))
-    if fam == "power_over_p":
-        return PowerOverP(_num(d["p"], where))
-    if fam == "scaled_power":
-        return ScaledPower(_num(d["coeff"], where), _num(d["p"], where))
-    if fam == "abs_value":
-        return PowerAbs(1.0)
-    if fam == "exp_minus_one":
-        return ExpMinusOne()
-    if fam == "x_log_x":
-        return XLogX()
-    if fam == "hard_cap":
-        return HardCap(_num(d["cap"], where))
+    if fam in _YOUNG_FAMILIES:
+        make, keys = _YOUNG_FAMILIES[fam]
+        for key in keys:
+            if key not in d:
+                raise ScenarioError(f"{where}: Young family {fam!r} needs {key!r}")
+        return make(*(_num(d[key], where) for key in keys))
     if fam == "piecewise_linear":
         pts = [(_num(x, where), _num(v, where)) for x, v in d["points"]]
         return PiecewiseLinearConvex(pts, extension=d.get("extension", "slope"))
@@ -129,26 +135,16 @@ def _young_from_dict(d: dict, named: dict[str, YoungFunction], where: str) -> Yo
 
 def parse_young_spec(text: str) -> YoungFunction:
     """Inline form used on the command line, e.g. power_abs:2 or exp_minus_one."""
-    parts = text.split(":")
-    fam, args = parts[0], parts[1:]
+    fam, *args = text.split(":")
+    if fam not in _YOUNG_FAMILIES:
+        raise ScenarioError(f"unknown Young spec {text!r}")
+    make, keys = _YOUNG_FAMILIES[fam]
+    if len(args) < len(keys):
+        raise ScenarioError(f"bad Young spec {text!r}: missing {keys[len(args)]!r}")
     try:
-        if fam == "power_abs":
-            return PowerAbs(float(args[0]))
-        if fam == "power_over_p":
-            return PowerOverP(float(args[0]))
-        if fam == "scaled_power":
-            return ScaledPower(float(args[0]), float(args[1]))
-        if fam == "abs_value":
-            return PowerAbs(1.0)
-        if fam == "exp_minus_one":
-            return ExpMinusOne()
-        if fam == "x_log_x":
-            return XLogX()
-        if fam == "hard_cap":
-            return HardCap(float(args[0]))
-    except (IndexError, ValueError) as exc:
+        return make(*(float(a) for a in args[: len(keys)]))
+    except ValueError as exc:
         raise ScenarioError(f"bad Young spec {text!r}: {exc}") from exc
-    raise ScenarioError(f"unknown Young spec {text!r}")
 
 
 def _tail_from_dict(d: Optional[dict], where: str) -> Optional[TailLaw]:

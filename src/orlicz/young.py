@@ -10,6 +10,7 @@ arithmetic, so double conjugation restores breakpoints exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -47,6 +48,8 @@ __all__ = [
 DEFAULT_PROBE_RANGE = (1e-6, 1e6)
 DEFAULT_GRID_PER_DECADE = 512
 _LOG_OVERFLOW = 700.0
+_FLOAT_MIN = sys.float_info.min
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _float_array(x) -> np.ndarray:
@@ -62,16 +65,6 @@ def _abs_array(x) -> np.ndarray:
 def _shaped(x, out: np.ndarray):
     """``out`` in the form of the argument ``x``: a float for a scalar."""
     return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def _power_inv_subgradient(v, coeff: float, p: float):
-    """inv_subgradient of coeff*|x|**p: the slope jumps from 0 to +inf at
-    coeff when p = 1, else g = (v / (coeff*p))**(1/(p-1))."""
-    a = _float_array(v)
-    if p == 1.0:
-        return _shaped(v, np.where(a < coeff, 0.0, INF))
-    with np.errstate(over="ignore"):
-        return _shaped(v, (a / (coeff * p)) ** (1.0 / (p - 1.0)))
 
 
 class YoungFunction:
@@ -130,127 +123,20 @@ class YoungFunction:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class PowerAbs(YoungFunction):
-    """|x|**p for p >= 1."""
+class _Power(YoungFunction):
+    """coeff * |x|**p with p >= 1: the conjugate, inverses, slopes and log
+    values every power family shares. A subclass gives ``p`` and ``coeff``,
+    the message of its argument check, and its own evaluation where the
+    rounding of its formula differs."""
 
-    p: float
-
-    def __post_init__(self):
-        if not self.p >= 1.0:
-            raise ValueError(f"PowerAbs requires p >= 1, got {self.p}")
-
-    def __call__(self, x: float) -> float:
-        return abs(x) ** self.p
-
-    def eval_array(self, xs):
-        return np.abs(xs) ** self.p
-
-    def conjugate(self) -> YoungFunction:
-        if self.p == 1.0:
-            return HardCap(1.0)
-        q = self.p / (self.p - 1.0)
-        return ScaledPower((self.p - 1.0) * self.p ** (-q), q)
-
-    def inverse(self, y: float) -> float:
-        if y == INF:
-            return INF
-        return y ** (1.0 / self.p)
-
-    def inverse_log(self, log_y: float) -> float:
-        if log_y == -INF:
-            return 0.0
-        try:
-            return math.exp(log_y / self.p)
-        except OverflowError:
-            return INF
-
-    def derivative(self, x: float) -> float:
-        if self.p == 1.0:
-            return 1.0
-        return self.p * x ** (self.p - 1.0)
-
-    def inv_subgradient(self, v):
-        return _power_inv_subgradient(v, 1.0, self.p)
-
-    def log_value(self, x):
-        with np.errstate(divide="ignore"):
-            return _shaped(x, self.p * np.log(_abs_array(x)))
-
-    def as_power(self):
-        return (1.0, self.p)
-
-    def label(self) -> str:
-        return f"power_abs:{self.p:g}"
-
-    def descriptor(self) -> dict:
-        return {"family": "power_abs", "p": self.p}
-
-
-@dataclass(frozen=True)
-class PowerOverP(YoungFunction):
-    """|x|**p / p for p > 1; closed under conjugation (p <-> q)."""
-
-    p: float
+    _requires = "{name} requires p >= 1, got {p}"
+    _p_above_one = False
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"PowerOverP requires p > 1, got {self.p}")
-
-    def __call__(self, x: float) -> float:
-        return abs(x) ** self.p / self.p
-
-    def eval_array(self, xs):
-        return np.abs(xs) ** self.p / self.p
-
-    def conjugate(self) -> YoungFunction:
-        q = self.p / (self.p - 1.0)
-        return PowerOverP(q)
-
-    def inverse(self, y: float) -> float:
-        if y == INF:
-            return INF
-        return (self.p * y) ** (1.0 / self.p)
-
-    def inverse_log(self, log_y: float) -> float:
-        if log_y == -INF:
-            return 0.0
-        try:
-            return math.exp((log_y + math.log(self.p)) / self.p)
-        except OverflowError:
-            return INF
-
-    def derivative(self, x: float) -> float:
-        return x ** (self.p - 1.0)
-
-    def inv_subgradient(self, v):
-        with np.errstate(over="ignore"):
-            return _shaped(v, _float_array(v) ** (1.0 / (self.p - 1.0)))
-
-    def log_value(self, x):
-        with np.errstate(divide="ignore"):
-            return _shaped(x, self.p * np.log(_abs_array(x)) - math.log(self.p))
-
-    def as_power(self):
-        return (1.0 / self.p, self.p)
-
-    def label(self) -> str:
-        return f"power_over_p:{self.p:g}"
-
-    def descriptor(self) -> dict:
-        return {"family": "power_over_p", "p": self.p}
-
-
-@dataclass(frozen=True)
-class ScaledPower(YoungFunction):
-    """coeff * |x|**p; closed under conjugation, arises as the dual of PowerAbs."""
-
-    coeff: float
-    p: float
-
-    def __post_init__(self):
-        if not (self.coeff > 0.0 and self.p >= 1.0):
-            raise ValueError("ScaledPower requires coeff > 0 and p >= 1")
+        # p is checked first: PowerOverP's coeff is 1/p.
+        p = self.p
+        if not (1.0 <= p < INF and (p > 1.0 or not self._p_above_one) and 0.0 < self.coeff < INF):
+            raise ValueError(self._requires.format(name=type(self).__name__, p=p))
 
     def __call__(self, x: float) -> float:
         return self.coeff * abs(x) ** self.p
@@ -259,10 +145,23 @@ class ScaledPower(YoungFunction):
         return self.coeff * np.abs(xs) ** self.p
 
     def conjugate(self) -> YoungFunction:
-        if self.p == 1.0:
-            return HardCap(self.coeff)
-        q = self.p / (self.p - 1.0)
-        b = self.coeff * (self.p - 1.0) * (self.coeff * self.p) ** (-q)
+        c, p = self.coeff, self.p
+        if p == 1.0:
+            return HardCap(c)
+        q = p / (p - 1.0)
+        try:
+            t = (c * p) ** (-q)
+        except OverflowError:
+            t = INF
+        b = c * (p - 1.0) * t
+        if not (_FLOAT_MIN <= t < INF and _FLOAT_MIN <= b < INF):
+            # (c*p)**(-q) or b left the normal float range; b itself may
+            # still be in it, so take it from its logarithm.
+            log_b = math.log(c) + math.log(p - 1.0) - q * (math.log(c) + math.log(p))
+            b = math.exp(log_b) if log_b < _LOG_MAX else INF
+            if not 0.0 < b < INF:
+                raise ValueError(f"the conjugate of {self.label()} has coefficient "
+                                 f"10**{log_b / math.log(10.0):.6g}, outside the float range")
         return ScaledPower(b, q)
 
     def inverse(self, y: float) -> float:
@@ -284,7 +183,12 @@ class ScaledPower(YoungFunction):
         return self.coeff * self.p * x ** (self.p - 1.0)
 
     def inv_subgradient(self, v):
-        return _power_inv_subgradient(v, self.coeff, self.p)
+        # The slope jumps from 0 to +inf at coeff when p = 1.
+        a = _float_array(v)
+        if self.p == 1.0:
+            return _shaped(v, np.where(a < self.coeff, 0.0, INF))
+        with np.errstate(over="ignore"):
+            return _shaped(v, (a / (self.coeff * self.p)) ** (1.0 / (self.p - 1.0)))
 
     def log_value(self, x):
         with np.errstate(divide="ignore"):
@@ -292,6 +196,57 @@ class ScaledPower(YoungFunction):
 
     def as_power(self):
         return (self.coeff, self.p)
+
+
+@dataclass(frozen=True)
+class PowerAbs(_Power):
+    """|x|**p for p >= 1."""
+
+    p: float
+    coeff = 1.0
+
+    def label(self) -> str:
+        return f"power_abs:{self.p:g}"
+
+    def descriptor(self) -> dict:
+        return {"family": "power_abs", "p": self.p}
+
+
+@dataclass(frozen=True)
+class PowerOverP(_Power):
+    """|x|**p / p for p > 1; closed under conjugation (p <-> q)."""
+
+    p: float
+    _requires = "{name} requires p > 1, got {p}"
+    _p_above_one = True
+
+    @property
+    def coeff(self) -> float:
+        return 1.0 / self.p
+
+    def __call__(self, x: float) -> float:
+        return abs(x) ** self.p / self.p
+
+    def eval_array(self, xs):
+        return np.abs(xs) ** self.p / self.p
+
+    def conjugate(self) -> YoungFunction:
+        return PowerOverP(self.p / (self.p - 1.0))
+
+    def label(self) -> str:
+        return f"power_over_p:{self.p:g}"
+
+    def descriptor(self) -> dict:
+        return {"family": "power_over_p", "p": self.p}
+
+
+@dataclass(frozen=True)
+class ScaledPower(_Power):
+    """coeff * |x|**p; closed under conjugation, arises as the dual of PowerAbs."""
+
+    coeff: float
+    p: float
+    _requires = "{name} requires coeff > 0 and p >= 1"
 
     def label(self) -> str:
         return f"scaled_power:{self.coeff:g}:{self.p:g}"
@@ -427,7 +382,7 @@ class HardCap(YoungFunction):
     cap: float
 
     def __post_init__(self):
-        if not self.cap > 0.0:
+        if not 0.0 < self.cap < INF:
             raise ValueError("HardCap requires cap > 0")
 
     def __call__(self, x: float) -> float:
@@ -745,7 +700,6 @@ def _exp_capped(lv: float) -> float:
 
 
 def _classify_grid(
-    xs: np.ndarray,
     pts: np.ndarray,
     log_vals: np.ndarray,
     hard: np.ndarray,
@@ -853,7 +807,7 @@ def delta2_probe(
     with np.errstate(invalid="ignore"):
         log_ratio, hard = _log_constants(num, den, num - den)
     return _classify_grid(
-        xs, xs, log_ratio, hard, lo, hi, divergence_threshold, n,
+        xs, log_ratio, hard, lo, hi, divergence_threshold, n,
         "doubling ratio exceeds the divergence threshold and grows across the last decade",
     )
 
@@ -887,7 +841,7 @@ def delta_prime_probe(
         den = np.where((la == -INF) | (lb == -INF), -INF, la + lb)
         logs, hard = _log_constants(num, den, num - la - lb)
     verdict = _classify_grid(
-        xs, xs[i], logs, hard, lo, hi, divergence_threshold, n * n,
+        xs[i], logs, hard, lo, hi, divergence_threshold, n * n,
         "product ratio grows without bound along the diagonal",
     )
     if verdict.holds:
@@ -941,15 +895,8 @@ def nabla_prime_probe(
         logs.append(val)
         hard.append(h)
     return _classify_grid(
-        xs,
-        xs[ii],
-        np.array(logs),
-        np.array(hard, dtype=bool),
-        lo,
-        hi,
-        divergence_threshold,
-        n * n,
-        "required b grows without bound",
+        xs[ii], np.array(logs), np.array(hard, dtype=bool), lo, hi,
+        divergence_threshold, n * n, "required b grows without bound",
     )
 
 
@@ -1049,11 +996,11 @@ def sum_bound_constants(
         l_hard.append(lh)
     pts = xs[ii]
     kv = _classify_grid(
-        xs, pts, k_logs, k_hard, lo, hi,
+        pts, k_logs, k_hard, lo, hi,
         divergence_threshold, n * n, "sum-splitting constant grows without bound",
     )
     lv_verdict = _classify_grid(
-        xs, pts, np.array(l_logs), np.array(l_hard, dtype=bool), lo, hi,
+        pts, np.array(l_logs), np.array(l_hard, dtype=bool), lo, hi,
         divergence_threshold, n * n, "inverse-splitting constant grows without bound",
     )
     return kv, lv_verdict

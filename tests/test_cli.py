@@ -9,7 +9,8 @@ import pytest
 
 from orlicz import load_scenario, parse_scenario, serialize_scenario
 from orlicz.cli import main
-from orlicz.scenario import ScenarioError, parse_young_spec
+from orlicz.scenario import ScenarioError, _young_from_dict, parse_young_spec
+from orlicz.young import AbsValue, ExpMinusOne, HardCap, PowerAbs, PowerOverP, ScaledPower, XLogX
 
 SCEN = "scenarios/finite_basic.json"
 GEO = "scenarios/geometric_collapse.json"
@@ -314,3 +315,87 @@ class TestMalformedSections:
         plain = capsys.readouterr().err
         assert main(["hderiv", "collapse", "--scenario", str(scenario), "--depth", "5"]) == 2
         assert capsys.readouterr().err == plain and "not valid JSON" in plain
+
+
+CLOSED_FORM_YOUNGS = [
+    PowerAbs(2.5), AbsValue(), PowerOverP(3.0), ScaledPower(0.3, 2.5),
+    ExpMinusOne(), XLogX(), HardCap(2.0),
+]
+
+
+class TestYoungFamilies:
+    """One table of closed-form families serves the dict and inline forms."""
+
+    @pytest.mark.parametrize("phi", CLOSED_FORM_YOUNGS, ids=repr)
+    def test_descriptor_round_trip(self, phi):
+        assert _young_from_dict(phi.descriptor(), {}, "t") == phi
+
+    @pytest.mark.parametrize("phi", CLOSED_FORM_YOUNGS, ids=repr)
+    def test_label_round_trip(self, phi):
+        assert parse_young_spec(phi.label()) == phi
+
+    @pytest.mark.parametrize("d, key", [
+        ({"family": "power_abs"}, "p"),
+        ({"family": "power_over_p"}, "p"),
+        ({"family": "scaled_power", "p": 2.0}, "coeff"),
+        ({"family": "scaled_power", "coeff": 2.0}, "p"),
+        ({"family": "hard_cap"}, "cap"),
+    ])
+    def test_missing_parameter_named(self, d, key):
+        with pytest.raises(ScenarioError, match=f"young.phi: Young family '{d['family']}' needs '{key}'"):
+            _young_from_dict(d, {}, "young.phi")
+
+    def test_missing_inline_parameter_named(self):
+        with pytest.raises(ScenarioError, match="bad Young spec 'scaled_power:2': missing 'p'"):
+            parse_young_spec("scaled_power:2")
+
+    def test_missing_parameter_exits_2(self, tmp_path, capsys):
+        doc = json.loads(open(SCEN).read())
+        doc["young"] = {"phi": {"family": "power_abs"}}
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(doc))
+        assert main(["norm", "f", "--scenario", str(path)]) == 2
+        assert "scenario error: young.phi: Young family 'power_abs' needs 'p'" in capsys.readouterr().err
+
+
+def _cli(*argv):
+    return subprocess.run([sys.executable, "-m", "orlicz.cli", *argv], capture_output=True, text=True)
+
+
+class TestPowerFamilyEdges:
+    """Conjugates across the float range, and non-finite parameters, end
+    with a report or exit 2, never with a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["conjugate", "--young", "scaled_power:1e-300:1.5"], "outside the float range"),
+        (["norm", "f", "--scenario", SCEN, "--young", "scaled_power:inf:2"], "ScaledPower requires"),
+        (["norm", "f", "--scenario", SCEN, "--young", "scaled_power:1:inf"], "ScaledPower requires"),
+        (["norm", "f", "--scenario", SCEN, "--young", "power_abs:inf"], "PowerAbs requires"),
+        (["norm", "f", "--scenario", SCEN, "--young", "hard_cap:inf"], "HardCap requires"),
+    ])
+    def test_exit_2_without_traceback(self, argv, message):
+        proc = _cli(*argv)
+        assert proc.returncode == 2
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_conjugate_coefficient_outside_float_range_named(self):
+        proc = _cli("conjugate", "--young", "scaled_power:1e-300:1.5")
+        assert "has coefficient 10**599.1" in proc.stderr
+
+    @pytest.mark.parametrize("spec, coeff, back", [
+        ("scaled_power:1e-300:2", 2.5e299, 1e-300),
+        ("scaled_power:1e-200:2", 2.5e199, 1e-200),
+        ("scaled_power:1e200:2", 2.5e-201, 1e200),
+    ])
+    def test_conjugate_across_the_float_range(self, capsys, spec, coeff, back):
+        assert main(["--format", "structured", "conjugate", "--young", spec]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["conjugate"]["coeff"] == pytest.approx(coeff, rel=1e-12)
+        assert rep["biconjugate"]["coeff"] == pytest.approx(back, rel=1e-12)
+
+    def test_norm_reports_orlicz_norm_for_tiny_coefficient(self, capsys):
+        assert main(["--format", "structured", "norm", "f", "--scenario", SCEN,
+                     "--young", "scaled_power:1e-200:2"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        lux, orl = rep["luxemburg"]["value"], rep["orlicz"]["value"]
+        assert lux <= orl * (1 + 1e-9) and orl <= 2 * lux * (1 + 1e-9)

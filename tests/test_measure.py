@@ -547,3 +547,15 @@ class TestPointwiseAlgebra:
         for f in (SimpleFunction.constant(uniform3, 1.0), zero_prefix):
             with pytest.raises(ValueError, match="NaN"):
                 f.scaled(math.nan)
+
+
+class TestIsZero:
+    def test_signed_zeros_and_infinities(self, uniform3, geo):
+        from orlicz.tails import ZeroTail
+
+        assert SimpleFunction(uniform3, (0.0, -0.0, 0.0), None).is_zero()
+        assert not SimpleFunction(uniform3, (0.0, 5e-324, 0.0), None).is_zero()
+        assert not SimpleFunction(uniform3, (-INF, 0.0, 0.0), None).is_zero()
+        zero_prefix = (-0.0,) * geo.depth
+        assert SimpleFunction(geo, zero_prefix, ZeroTail()).is_zero()
+        assert not SimpleFunction(geo, zero_prefix, ConstantTail(1.0)).is_zero()

@@ -4,7 +4,9 @@ Conjugates are checked against an independent numerical Legendre transform
 (dense grid supremum) before trusting the analytic tables.
 """
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -572,7 +574,7 @@ def _loop_verdicts(phi, probe_range):
     rows = [case(n, d, n - d) for n, d in
             ((phi.log_value(2.0 * float(x)), phi.log_value(float(x))) for x in xs)]
     d2 = young._classify_grid(
-        xs, xs, np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), lo, hi, 1e8,
+        xs, np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), lo, hi, 1e8,
         len(xs), "doubling ratio exceeds the divergence threshold and grows across the last decade")
     ys = young._log_grid(lo, hi, max(young.DEFAULT_GRID_PER_DECADE // 64, 4))
     pts, rows = [], []
@@ -584,7 +586,7 @@ def _loop_verdicts(phi, probe_range):
             rows.append(case(num, den, num - la - lb if math.isfinite(den) else 0.0))
             pts.append(float(ys[i]))
     dp = young._classify_grid(
-        ys, np.array(pts), np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), lo, hi,
+        np.array(pts), np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), lo, hi,
         1e8, len(ys) ** 2, "product ratio grows without bound along the diagonal")
     return d2, dp
 
@@ -607,3 +609,106 @@ def test_x_log_x_at_infinity():
     phi = XLogX()
     assert phi(INF) == INF and phi(-INF) == INF
     assert list(phi.eval_array(np.array([INF, -INF, 0.5, 2.0]))) == [INF, INF, 0.0, phi(2.0)]
+
+
+class TestPowerArguments:
+    """The power families and the hard cap refuse non-finite parameters with
+    each class's own message, next to the bounds they always had."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: PowerAbs(INF), "PowerAbs requires p >= 1"),
+        (lambda: PowerAbs(0.5), "PowerAbs requires p >= 1"),
+        (lambda: PowerAbs(math.nan), "PowerAbs requires p >= 1"),
+        (lambda: PowerOverP(INF), "PowerOverP requires p > 1"),
+        (lambda: PowerOverP(1.0), "PowerOverP requires p > 1"),
+        (lambda: PowerOverP(0.0), "PowerOverP requires p > 1"),
+        (lambda: ScaledPower(INF, 2.0), "ScaledPower requires coeff > 0 and p >= 1"),
+        (lambda: ScaledPower(1.0, INF), "ScaledPower requires coeff > 0 and p >= 1"),
+        (lambda: ScaledPower(0.0, 2.0), "ScaledPower requires coeff > 0 and p >= 1"),
+        (lambda: ScaledPower(1.0, 0.5), "ScaledPower requires coeff > 0 and p >= 1"),
+        (lambda: HardCap(INF), "HardCap requires cap > 0"),
+        (lambda: HardCap(0.0), "HardCap requires cap > 0"),
+    ])
+    def test_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_bounds_admitted(self):
+        assert PowerAbs(1.0).as_power() == (1.0, 1.0)
+        assert ScaledPower(5e-324, 1.0).as_power() == (5e-324, 1.0)
+        assert HardCap(1e308).cap == 1e308
+
+    @pytest.mark.parametrize("cls", [PowerAbs, PowerOverP, ScaledPower])
+    def test_one_shared_implementation(self, cls):
+        shared = {"inverse", "inverse_log", "derivative", "inv_subgradient", "log_value", "as_power"}
+        assert not shared & set(vars(cls))
+        assert ("conjugate" in vars(cls)) == (cls is PowerOverP)
+
+
+class TestPowerConjugateRange:
+    """coeff*|x|**p conjugates to coeff' * |y|**q over the whole float range
+    of coeff; a coefficient outside that range is refused by name."""
+
+    COEFFS = [1e-200, 1e-150, 1.0, 1e150, 1e200]
+    PS = [1.5, 2.0, 3.0]
+
+    @staticmethod
+    def exact_coeff(c, p):
+        """c*(p-1)*(c*p)**(-q) at the float q = p/(p-1), in 40-digit decimal
+        arithmetic, rounded to a float (0 or inf outside the float range)."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            c_, p_, q_ = Decimal(c), Decimal(p), Decimal(p / (p - 1.0))
+            return float(c_ * (p_ - 1) * ((c_ * p_).ln() * -q_).exp())
+
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("c", COEFFS)
+    def test_against_numeric_legendre(self, c, p):
+        phi = ScaledPower(c, p)
+        b = self.exact_coeff(c, p)
+        if not 0.0 < b < INF:
+            with pytest.raises(ValueError, match="outside the float range"):
+                phi.conjugate()
+            return
+        psi = phi.conjugate()
+        assert isinstance(psi, ScaledPower)
+        assert psi.p == p / (p - 1.0)
+        assert psi.coeff == pytest.approx(b, rel=1e-12)
+        # Slopes y at x = t * c**(-1/p), where phi(x) = t**p: the maximizer
+        # of x*y - phi(x) sits inside the oracle's grid at every scale.
+        x_unit = c ** (-1.0 / p)
+        for t in (0.5, 1.0, 2.0):
+            y = c * p * (t * x_unit) ** (p - 1.0)
+            oracle = numeric_conjugate(phi, y, x_hi=4.0 * x_unit)
+            assert oracle == pytest.approx((p - 1.0) * t**p, rel=1e-9)
+            assert psi(y) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("c", COEFFS)
+    def test_biconjugate(self, c, p):
+        phi = ScaledPower(c, p)
+        try:
+            psi = phi.conjugate()
+        except ValueError:
+            return  # out of range; test_against_numeric_legendre covers it
+        back = psi.conjugate()
+        assert back.p == pytest.approx(p, rel=1e-15)
+        assert back.coeff == pytest.approx(c, rel=1e-12)
+
+    def test_spurious_over_and_underflow(self):
+        # (c*p)**(-q) overflows (resp. underflows) although the coefficient
+        # 1/(4c) is a float.
+        assert ScaledPower(1e-200, 2.0).conjugate().coeff == pytest.approx(2.5e199, rel=1e-12)
+        assert ScaledPower(1e200, 2.0).conjugate().coeff == pytest.approx(2.5e-201, rel=1e-12)
+
+    def test_direct_formula_kept_in_range(self):
+        assert PowerAbs(2.0).conjugate() == ScaledPower(0.25, 2.0)
+        assert ScaledPower(0.25, 2.0).conjugate() == ScaledPower(1.0, 2.0)
+        for c, p in ((0.3, 2.5), (7.0, 1.5), (1e-3, 3.0)):
+            q = p / (p - 1.0)
+            assert ScaledPower(c, p).conjugate().coeff == c * (p - 1.0) * (c * p) ** (-q)
+
+    @pytest.mark.parametrize("c, p", [(1e-300, 1.5), (1e200, 1.5), (1e-310, 2.0)])
+    def test_outside_float_range_named(self, c, p):
+        with pytest.raises(ValueError, match=r"the conjugate of scaled_power:.* has coefficient 10\*\*"):
+            ScaledPower(c, p).conjugate()
