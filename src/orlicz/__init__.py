@@ -38,6 +38,7 @@ from .tails import (
 )
 from .measure import (
     ALL_ATOMS,
+    CoFinite,
     CollapseLaw,
     ConstantWeights,
     CountableSpace,

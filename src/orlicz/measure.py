@@ -39,7 +39,7 @@ from .tails import (
     tail_sum,
 )
 from .verdicts import ConsistencyError, Status, Verdict
-from .young import PowerAbs, YoungFunction
+from .young import _LOG_MAX, PowerAbs, YoungFunction
 
 AtomId = Union[str, int]
 
@@ -50,6 +50,7 @@ __all__ = [
     "FiniteSpace",
     "CountableSpace",
     "SimpleFunction",
+    "CoFinite",
     "Transformation",
     "Partition",
     "FiberPartition",
@@ -453,7 +454,15 @@ class SimpleFunction:
 # Map laws and transformations
 # ---------------------------------------------------------------------------
 
-ALL_ATOMS = "all"
+@dataclass(frozen=True)
+class CoFinite:
+    """A fiber of a countable map holding every atom except the finitely
+    many prefix atoms ``excluded`` (sorted)."""
+
+    excluded: tuple[int, ...] = ()
+
+
+ALL_ATOMS = CoFinite()
 
 
 @dataclass(frozen=True)
@@ -527,7 +536,7 @@ class ShiftLaw:
             return ConstantTail(law.r ** (-self.k))
         m = space.depth
         return PointwiseTail(
-            lambda n: law.weight(n - self.k) / law.weight(n) if n > self.k else 0.0,
+            lambda n: _density(space, self.preimage(n), n),
             sup_bound=law.weight(max(m + 1 - self.k, 1)) / law.weight(m + 1),
             finite=True,
             name="shift_h",
@@ -565,17 +574,16 @@ class DivCeilLaw:
 
     def h_tail(self, space: CountableSpace) -> TailLaw:
         law = space.law
-        d = self.d
 
         def h(n: int) -> float:
-            return sum(law.weight(m) for m in self.preimage(n)) / law.weight(n)
+            return _density(space, self.preimage(n), n)
 
         if isinstance(law, ConstantWeights):
-            return ConstantTail(float(d))
+            return ConstantTail(float(self.d))
         if isinstance(law, GeometricWeights):
             # h(n) = r^{(d-1)n} * sum_{j=0}^{d-1} r^{j+1-d}: geometric decay.
             return PointwiseTail(h, sup_bound=h(space.depth + 1), finite=True,
-                                 block=1, block_ratio=law.r ** (d - 1), name="divceil_h")
+                                 block=1, block_ratio=law.r ** (self.d - 1), name="divceil_h")
         return PointwiseTail(h, sup_bound=h(space.depth + 1), finite=True, name="divceil_h")
 
     def label(self):
@@ -618,10 +626,7 @@ class PowerIndexLaw:
         law = space.law
 
         def h(n: int) -> float:
-            pre = self.preimage(n)
-            if not pre:
-                return 0.0
-            return law.weight(pre[0]) / law.weight(n)
+            return _density(space, self.preimage(n), n)
 
         # On constant weights h is 1 on e-th powers and 0 elsewhere.
         sup = 1.0 if isinstance(law, ConstantWeights) else INF
@@ -655,7 +660,7 @@ class PairSwapLaw:
         law = space.law
 
         def h(n: int) -> float:
-            return law.weight(self.apply(n)) / law.weight(n)
+            return _density(space, self.preimage(n), n)
 
         m = space.depth
         sup = max(h(m + 1), h(m + 2))
@@ -797,19 +802,16 @@ class Transformation:
         return dict(reversed(self.overrides))
 
     def preimage(self, y: AtomId):
-        """Full (untruncated) preimage of the atom y: a tuple of atoms, or
-        ALL_ATOMS when the law collapses everything onto y."""
+        """Full (untruncated) preimage of the atom y: a sorted tuple of atoms,
+        or a CoFinite when the law collapses everything onto y."""
         if self.space.is_finite:
             return self._fibers.get(y, ())
         y = int(y)
         base = self.law.preimage(y)
-        if base == ALL_ATOMS:
+        if isinstance(base, CoFinite):
             # Prefix overrides may divert finitely many atoms away; atoms
             # overridden back onto y are already in the full set.
-            diverted = {k for k, v in self.overrides if v != y}
-            if not diverted:
-                return ALL_ATOMS
-            return ("all_except", tuple(sorted(diverted)))
+            return CoFinite(tuple(sorted({k for k, v in self.overrides if v != y})))
         if not self.overrides:
             return base  # the law's preimages are sorted tuples
         ids = set(base)
@@ -844,15 +846,7 @@ class Transformation:
                                       minlength=len(space.atoms)))
 
     def fiber_measure(self, y: AtomId) -> float:
-        pre = self.preimage(y)
-        if _is_cofinite(self.space, pre):
-            return _mass_except(self.space, pre[1] if pre != ALL_ATOMS else ())
-        # Summed one by one in atom order, as np.bincount sums the fiber
-        # masses behind radon_nikodym, so the two agree to the last bit.
-        total = 0.0
-        for a in pre:
-            total += self.space.weight(a)
-        return total
+        return _mass(self.space, self.preimage(y))
 
     @property
     def is_bijective(self) -> bool:
@@ -865,8 +859,7 @@ class Transformation:
     def inverse_apply(self, y: AtomId) -> AtomId:
         if not self.is_bijective:
             raise ValueError("transformation is not bijective")
-        pre = self.preimage(y)
-        return pre[0]
+        return self.preimage(y)[0]
 
     def inverse(self) -> "Transformation":
         """The inverse map of a bijective transformation."""
@@ -897,7 +890,7 @@ class Transformation:
         if self.overrides and not isinstance(inner.law, CollapseLaw):
             for k, _ in self.overrides:
                 pre = inner.law.preimage(k)
-                if pre == ALL_ATOMS or any(int(p) > self.space.depth for p in pre):
+                if isinstance(pre, CoFinite) or any(int(p) > self.space.depth for p in pre):
                     raise UnresolvedTail(
                         "outer overrides are reachable from the tail of the inner map"
                     )
@@ -967,16 +960,6 @@ class FiberPartition:
     @property
     def space(self) -> Space:
         return self.transformation.space
-
-    def iter_blocks(self):
-        """Blocks meeting the prefix, each as the full untruncated fiber."""
-        seen = set()
-        for a in self.space.prefix_ids():
-            t = self.transformation.apply(a)
-            if t in seen:
-                continue
-            seen.add(t)
-            yield self.transformation.preimage(t)
 
 
 def fiber_partition(phi: Transformation):
@@ -1294,14 +1277,25 @@ def _h_tail_patches(phi: Transformation) -> dict[int, float]:
     touched = {t for k, v in phi.overrides for t in (phi.law.apply(k), v) if t > space.depth}
     if isinstance(phi.law, CollapseLaw) and phi.law.target > space.depth:
         touched.add(phi.law.target)
-    patches: dict[int, float] = {}
-    for y in touched:
-        if phi.preimage(y):
-            fm = phi.fiber_measure(y)
-            patches[y] = fm / space.weight(y) if fm != INF else INF
-        else:
-            patches[y] = 0.0  # an empty fiber, also where mu({y}) underflows to 0.0
-    return patches
+    return {y: _density(space, phi.preimage(y), y) for y in touched}
+
+
+def _density(space: CountableSpace, fiber, y: int) -> float:
+    """h(y) = mu(fiber) / mu({y}) on the tail, for the map laws and the patches:
+    the float quotient where mu({y}) is normal, else exp(log mu(fiber) - log
+    mu({y})), which is 0.0 or +inf only where h leaves the float range."""
+    if not fiber:
+        return 0.0  # an empty fiber, also where mu({y}) underflows to 0.0
+    w = space.weight(y)
+    if w >= sys.float_info.min:
+        return _mass(space, fiber) / w
+    if isinstance(fiber, CoFinite):
+        log_mass = math.log(_mass(space, fiber))
+    else:
+        top, scaled = _scaled_weights(space, fiber)
+        log_mass = top + math.log(math.fsum(scaled))
+    log_h = log_mass - space.log_weight(y)
+    return math.exp(log_h) if log_h < _LOG_MAX else INF
 
 
 def iterated_rn(phi: Transformation, i: int) -> SimpleFunction:
@@ -1320,11 +1314,27 @@ def inverse_rn(phi: Transformation) -> SimpleFunction:
 # ---------------------------------------------------------------------------
 
 
-def _mass_except(space: CountableSpace, excluded) -> float:
-    """mu of the space without the prefix atoms ``excluded``, summed directly:
-    subtracting them from the total cancels where the tail mass is light."""
-    kept = [space.law.weight(n) for n in space.prefix_ids() if n not in excluded]
-    return xsum(kept + [space.tail_mass()])
+def _mass(space: Space, fiber) -> float:
+    """mu(fiber). A co-finite fiber is summed directly over its kept atoms:
+    subtracting the excluded ones from the total cancels where the tail mass
+    is light. Atom tuples are summed one by one in atom order, as np.bincount
+    sums the fiber-mass table behind radon_nikodym, so the two agree to the
+    last bit."""
+    if isinstance(fiber, CoFinite):
+        kept = [space.law.weight(n) for n in space.prefix_ids() if n not in fiber.excluded]
+        return xsum(kept + [space.tail_mass()])
+    total = 0.0
+    for a in fiber:
+        total += space.weight(a)
+    return total
+
+
+def _scaled_weights(space: Space, atoms) -> tuple[float, list[float]]:
+    """The log of the largest weight among ``atoms``, and their weights
+    divided by it: sums of weights below the normal range keep their digits."""
+    logs = [space.log_weight(a) for a in atoms]
+    top = max(logs)
+    return top, [math.exp(lw - top) for lw in logs]
 
 
 def _extended_total(terms: list[float]) -> float:
@@ -1340,22 +1350,14 @@ def _extended_total(terms: list[float]) -> float:
     return INF if pos else -INF if neg else num
 
 
-def _is_cofinite(space: Space, block) -> bool:
-    """Is the preimage ``block`` ALL_ATOMS or ("all_except", atoms)? Only
-    countable maps have those; a finite preimage is a plain atom tuple, even
-    where an atom is named "all_except"."""
-    return not space.is_finite and (block == ALL_ATOMS or block[:1] == ("all_except",))
-
-
 def _block_average(f: SimpleFunction, block) -> float:
     space = f.space
-    if _is_cofinite(space, block):
-        excluded = set(block[1]) if block != ALL_ATOMS else set()
+    if isinstance(block, CoFinite):
         tlo, thi = _tail_signed_integral(f.tail, space)
         if thi - tlo > 1e-12 * max(1.0, abs(tlo)) and not tlo == thi:
             raise UnresolvedTail("block average needs a resolvable tail integral", lower=tlo, upper=thi)
-        terms = [xmul(v, space.weight(a)) for a, v in f.items() if a not in excluded] + [tlo]
-        den = _mass_except(space, excluded)
+        terms = [xmul(v, space.weight(a)) for a, v in f.items() if a not in block.excluded] + [tlo]
+        den = _mass(space, block)
         if den == INF and all(map(math.isfinite, terms)):
             return 0.0  # a finite integral over infinite mass
         num = _extended_total(terms)
@@ -1366,9 +1368,7 @@ def _block_average(f: SimpleFunction, block) -> float:
         den += w
     if weights and den < sys.float_info.min:
         # The weights underflow: average against them scaled by the largest.
-        logs = [space.log_weight(a) for a in block]
-        top = max(logs)
-        weights = [math.exp(lw - top) for lw in logs]
+        _, weights = _scaled_weights(space, block)
         den = math.fsum(weights)
     num = _extended_total(list(map(xmul, map(f.value, block), weights)))
     return num if math.isinf(num) else num / den

@@ -139,10 +139,32 @@ class _Power(YoungFunction):
             raise ValueError(self._requires.format(name=type(self).__name__, p=p))
 
     def __call__(self, x: float) -> float:
-        return self.coeff * abs(x) ** self.p
+        a = abs(x)
+        if self.coeff == 1.0:
+            return a**self.p
+        try:
+            t = a ** self.p
+        except OverflowError:
+            t = INF
+        if _FLOAT_MIN <= t < INF or not 0.0 < a < INF:
+            return self.coeff * t
+        # |x|**p left the normal range; coeff*|x|**p may still be in it.
+        lv = self.log_value(a)
+        return math.exp(lv) if lv < _LOG_MAX else INF
 
     def eval_array(self, xs):
-        return self.coeff * np.abs(xs) ** self.p
+        a = np.abs(xs)
+        if self.coeff == 1.0:
+            return a**self.p
+        with np.errstate(over="ignore", under="ignore"):
+            t = a**self.p
+            out = self.coeff * t
+        odd = ~((_FLOAT_MIN <= t) & (t < INF)) & (0.0 < a) & (a < INF)
+        if odd.any():
+            # As in __call__: those values come from their logarithms.
+            with np.errstate(over="ignore"):
+                out = np.where(odd, np.exp(self.log_value(a)), out)
+        return out
 
     def conjugate(self) -> YoungFunction:
         c, p = self.coeff, self.p
@@ -187,8 +209,14 @@ class _Power(YoungFunction):
         a = _float_array(v)
         if self.p == 1.0:
             return _shaped(v, np.where(a < self.coeff, 0.0, INF))
+        cp = self.coeff * self.p
+        if self.coeff != 1.0 and not _FLOAT_MIN <= cp < INF:
+            # coeff*p left the normal range: take (v/(coeff*p))**(1/(p-1)) from logs.
+            with np.errstate(divide="ignore", over="ignore"):
+                log_cp = math.log(self.coeff) + math.log(self.p)
+                return _shaped(v, np.exp((np.log(a) - log_cp) / (self.p - 1.0)))
         with np.errstate(over="ignore"):
-            return _shaped(v, (a / (self.coeff * self.p)) ** (1.0 / (self.p - 1.0)))
+            return _shaped(v, (a / cp) ** (1.0 / (self.p - 1.0)))
 
     def log_value(self, x):
         with np.errstate(divide="ignore"):

@@ -712,3 +712,49 @@ class TestPowerConjugateRange:
     def test_outside_float_range_named(self, c, p):
         with pytest.raises(ValueError, match=r"the conjugate of scaled_power:.* has coefficient 10\*\*"):
             ScaledPower(c, p).conjugate()
+
+
+class TestPowerValueRange:
+    """coeff*|x|**p and the slope inverse (v/(coeff*p))**(1/(p-1)) are read
+    from logarithms where |x|**p or coeff*p leaves the normal float range,
+    so a value inside the range is not lost to 0.0, inf or an OverflowError."""
+
+    def test_small_argument_of_a_huge_coefficient(self):
+        psi = ScaledPower(1e-200, 2.0).conjugate()
+        assert psi(1e-200) == pytest.approx(2.5e-201, rel=1e-12, abs=0.0)
+        assert psi(1e-160) == pytest.approx(2.5e-121, rel=1e-12, abs=0.0)
+        assert psi.eval_array(np.array([1e-200]))[0] == pytest.approx(2.5e-201, rel=1e-12, abs=0.0)
+
+    def test_huge_argument_of_a_tiny_coefficient(self):
+        phi = ScaledPower(1e-300, 2.0)
+        assert phi(1e200) == pytest.approx(1e100, rel=1e-12, abs=0.0)
+        assert phi.eval_array(np.array([1e200]))[0] == pytest.approx(1e100, rel=1e-12, abs=0.0)
+
+    def test_slope_inverse_of_a_huge_coefficient(self):
+        phi = ScaledPower(1e308, 3.0)
+        want = math.sqrt(1.0 / 3.0) * 1e-154  # (1/(3e308))**(1/2); 3e308 is not a float
+        assert phi.inv_subgradient(1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+        got = phi.inv_subgradient(np.array([0.0, 1.0, INF]))
+        assert got[0] == 0.0 and got[2] == INF
+        assert got[1] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_edges_and_true_limits(self):
+        phi = ScaledPower(1e-300, 2.0)
+        assert phi(0.0) == 0.0 and phi(INF) == INF
+        assert list(phi.eval_array(np.array([0.0, INF]))) == [0.0, INF]
+        assert ScaledPower(1e300, 2.0)(1e10) == INF
+        assert ScaledPower(1e-300, 2.0)(1e-300) == 0.0
+
+    @pytest.mark.parametrize("phi", [PowerAbs(2.0), PowerAbs(3.5), PowerOverP(3.0),
+                                     ScaledPower(1.0, 2.0), ScaledPower(0.3, 2.5)])
+    def test_in_range_values_keep_the_direct_formula(self, phi):
+        xs = np.array([0.0, 1e-30, 0.5, 3.0, 1e30])
+        if isinstance(phi, PowerOverP):
+            direct = np.abs(xs) ** phi.p / phi.p
+        else:
+            direct = phi.coeff * np.abs(xs) ** phi.p
+        assert list(phi.eval_array(xs)) == list(direct)
+        assert [phi(float(x)) for x in xs] == list(direct)
+        vs = np.array([0.0, 0.5, 2.0, 1e30])
+        slope = (vs / (phi.coeff * phi.p)) ** (1.0 / (phi.p - 1.0))
+        assert list(phi.inv_subgradient(vs)) == list(slope)
