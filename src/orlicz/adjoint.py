@@ -12,6 +12,7 @@ from .extreal import INF, xmul
 from .measure import (
     SimpleFunction,
     Transformation,
+    compose_apply,
     fiber_average,
     inverse_rn,
     radon_nikodym,
@@ -83,8 +84,6 @@ def duality_pairing_check(
     probe_range=None,
 ) -> AdjointReport:
     """<f o phi, g> = <f, adjoint g>: both pairings computed independently."""
-    from .compop import compose_apply
-
     adj = adjoint_apply(phi_fn, phi, g, probe_range)
     lhs = holder_pairing(compose_apply(f, phi), g)
     rhs = holder_pairing(f, adj)
@@ -124,11 +123,11 @@ def adjoint_density_index(
     _require_doubling(phi_fn, probe_range)
     h = radon_nikodym(phi)
     h_inv = inverse_rn(phi)
+    h_phi = compose_apply(h, phi)
     space = phi.space
 
-    def psi_h_at(atom) -> float:
-        hp = h.value(phi.apply(atom))
-        return psi(hp) if hp != INF else INF
+    def psi_ext(x: float) -> float:
+        return psi(x) if x != INF else INF
 
     # The chain weight h_{-1} * psi(h o phi); the index is 1 + chain.
     chain_tail = None
@@ -138,12 +137,14 @@ def adjoint_density_index(
         # over every atom, not by the tail's sup.
         sh, shi = h.sup_abs(), hit.sup()
         chain_tail = PointwiseTail(
-            lambda n: xmul(hit.value_at(n), psi_h_at(n)),
+            lambda n: xmul(hit.value_at(n), psi_ext(h_phi.tail.value_at(n))),
             sup_bound=xmul(shi, psi(sh)) if (sh != INF and shi != INF) else INF,
             finite=h.tail.all_finite()[0] and hit.all_finite()[0],
             name="chain_weight",
         )
-    chain = SimpleFunction(space, tuple(xmul(hv, psi_h_at(a)) for a, hv in h_inv.items()), chain_tail)
+    chain = SimpleFunction(
+        space, tuple(xmul(hv, psi_ext(hp)) for hv, hp in zip(h_inv.values, h_phi.values)), chain_tail
+    )
     j = SimpleFunction.constant(space, 1.0).plus(chain)
     finite, witness = j.all_finite()
     verdict = (
@@ -168,8 +169,7 @@ def adjoint_density_index(
         # Chain bound: psi(adjoint g) <= d * psi(g) * h_{-1} * psi(h o phi).
         rhs = d_const * modular(psi, g, weight=chain)
         below_threshold = x0 > 0.0 and any(
-            0.0 < abs(v) < x0 or 0.0 < h.value(phi.apply(a)) < x0
-            for a, v in g.items()
+            0.0 < abs(v) < x0 or 0.0 < hp < x0 for v, hp in zip(g.values, h_phi.values)
         )
         entry = {
             "in_weighted_space": True,

@@ -29,6 +29,7 @@ from .scenario import (
     serialize_scenario,
 )
 from .suite import verify_suite
+from .tails import UnresolvedTail
 from .verdicts import PreconditionError
 from .young import conjugate as young_conjugate
 
@@ -56,18 +57,17 @@ def _emit(report: dict, fmt: str) -> None:
     walk("", enc)
 
 
-def _scenario_from_args(args) -> Optional[Scenario]:
-    if getattr(args, "scenario", None):
-        if args.depth is not None:
-            # Truncation-depth override: patch the document and re-validate.
-            doc = read_document(args.scenario)
-            space = doc.get("space")
-            if not isinstance(space, dict) or space.get("kind") != "countable":
-                raise ScenarioError("--depth only applies to countable spaces")
-            space["depth"] = args.depth
-            return parse_scenario(doc)
+def _scenario_from_args(args) -> Scenario:
+    """The scenario named by --scenario, which every command reading one requires."""
+    if args.depth is None:
         return load_scenario(args.scenario)
-    return None
+    # Truncation-depth override: patch the document and re-validate.
+    doc = read_document(args.scenario)
+    space = doc.get("space")
+    if not isinstance(space, dict) or space.get("kind") != "countable":
+        raise ScenarioError("--depth only applies to countable spaces")
+    space["depth"] = args.depth
+    return parse_scenario(doc)
 
 
 def _probe_range_from_args(args) -> Optional[tuple]:
@@ -81,13 +81,13 @@ def _probe_range_from_args(args) -> Optional[tuple]:
     return (lo, hi)
 
 
-def _young_from_args(args, sc: Optional[Scenario]):
-    spec = getattr(args, "young", None)
+def _young_from_args(args, sc: Scenario):
+    spec = args.young
     if spec:
-        if sc is not None and sc.youngs.get(spec) is not None:
+        if sc.youngs.get(spec) is not None:
             return sc.young(spec)
         return parse_young_spec(spec)
-    if sc is not None and sc.youngs:
+    if sc.youngs:
         return next(iter(sc.youngs.values()))
     raise ScenarioError("no Young function given (use --young or a scenario)")
 
@@ -111,8 +111,6 @@ def _base_report(args, command: str, sc: Optional[Scenario]) -> dict:
 def cmd_norm(args) -> int:
     sc = _scenario_from_args(args)
     phi = _young_from_args(args, sc)
-    if sc is None:
-        raise ScenarioError("norm needs a scenario providing the function")
     f = sc.function(args.function)
     report = _base_report(args, "norm", sc)
     lux = norms.luxemburg_norm(phi, f, rel_tol=args.tol)
@@ -143,8 +141,6 @@ def cmd_conjugate(args) -> int:
 
 def cmd_hderiv(args) -> int:
     sc = _scenario_from_args(args)
-    if sc is None:
-        raise ScenarioError("hderiv needs a scenario")
     tr = sc.map(args.map)
     h = radon_nikodym(tr)
     report = _base_report(args, "hderiv", sc)
@@ -156,8 +152,6 @@ def cmd_hderiv(args) -> int:
 
 def cmd_density(args) -> int:
     sc = _scenario_from_args(args)
-    if sc is None:
-        raise ScenarioError("density needs a scenario")
     phi = _young_from_args(args, sc)
     tr = sc.map(args.map)
     dv = compop.density_verdict(phi, tr)
@@ -170,8 +164,6 @@ def cmd_density(args) -> int:
 
 def cmd_domain(args) -> int:
     sc = _scenario_from_args(args)
-    if sc is None:
-        raise ScenarioError("domain needs a scenario")
     phi = _young_from_args(args, sc)
     tr = sc.map(args.map)
     f = sc.function(args.function)
@@ -184,8 +176,6 @@ def cmd_domain(args) -> int:
 
 def cmd_approximate(args) -> int:
     sc = _scenario_from_args(args)
-    if sc is None:
-        raise ScenarioError("approximate needs a scenario")
     phi = _young_from_args(args, sc)
     tr = sc.map(args.map)
     f = sc.function(args.function)
@@ -203,8 +193,6 @@ def cmd_approximate(args) -> int:
 
 def cmd_bounded(args) -> int:
     sc = _scenario_from_args(args)
-    if sc is None:
-        raise ScenarioError("bounded needs a scenario")
     phi = _young_from_args(args, sc)
     tr = sc.map(args.map)
     bd = compop.boundedness_verdict(phi, tr)
@@ -217,8 +205,6 @@ def cmd_bounded(args) -> int:
 
 def cmd_lp_check(args) -> int:
     sc = _scenario_from_args(args)
-    if sc is None:
-        raise ScenarioError("lp-check needs a scenario")
     tr = sc.map(args.map)
     u = sc.function(args.weight) if args.weight else SimpleFunction.constant(sc.space, 1.0)
     spec = lp.WeightedCompositionSpec(u, tr, args.p, args.q)
@@ -239,8 +225,6 @@ def cmd_lp_check(args) -> int:
 
 def cmd_adjoint_check(args) -> int:
     sc = _scenario_from_args(args)
-    if sc is None:
-        raise ScenarioError("adjoint-check needs a scenario")
     phi = _young_from_args(args, sc)
     tr = sc.map(args.map)
     f = sc.function(args.function)
@@ -385,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    from .tails import UnresolvedTail
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

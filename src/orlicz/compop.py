@@ -19,9 +19,10 @@ import numpy as np
 from .extreal import INF
 from .measure import (
     PowerIndexLaw,
+    PowerLawWeights,
     SimpleFunction,
     Transformation,
-    pullback_tail,
+    compose_apply,
     radon_nikodym,
     sigma_finite_check,
 )
@@ -35,6 +36,7 @@ from .norms import (
 from .tails import (
     ConstantTail,
     GeometricTail,
+    IndexPowerTail,
     PatchedTail,
     SparseGeometricTail,
     UnresolvedTail,
@@ -65,20 +67,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# The operator itself
+# Change of variables
 # ---------------------------------------------------------------------------
-
-
-def compose_apply(f: SimpleFunction, phi: Transformation) -> SimpleFunction:
-    """(f o phi)(x) = f(phi(x)); on countable spaces the tail is the pullback
-    of f's tail law under the map law."""
-    space = phi.space
-    if f.space != space:
-        raise ValueError("function and transformation live on different spaces")
-    if space.is_finite:
-        return SimpleFunction(space, tuple(f.value_vector[phi._target_index].tolist()), None)
-    vals = tuple(f.value(phi.apply(a)) for a in space.prefix_ids())
-    return SimpleFunction(space, vals, pullback_tail(f, phi.law))
 
 
 @dataclass(frozen=True)
@@ -258,8 +248,6 @@ def _restrict_to_h_below(f: SimpleFunction, h: SimpleFunction, cut: float) -> Si
     if isinstance(ht, ConstantTail):
         tail = f.tail if ht.value < cut else ZeroTail()
         return SimpleFunction(space, vals, tail)
-    from .tails import IndexPowerTail
-
     if isinstance(ht, IndexPowerTail) and ht.exponent > 0 and ht.coeff > 0:
         # Increasing law: {h < cut} meets the tail in a bounded range.
         cutoff = (cut / ht.coeff) ** (1.0 / ht.exponent)
@@ -649,8 +637,6 @@ def _build_unbounded_witness(phi_fn: YoungFunction, phi: Transformation, budget:
     with ratio a^{s(e-1)}/2 >= 1: certified divergence for every scaling,
     since a scaling multiplies every term by the same power factor.
     """
-    from .measure import PowerLawWeights
-
     power = phi_fn.as_power()
     space = phi.space
     if (

@@ -8,8 +8,10 @@ closed-form laws, so infinite-valued phenomena stay representable.
 This module owns the certified tail-sum kernel, ``_tail_modular_bounds``:
 the one case analysis that sums phi(scale*|f|) * weight * mu beyond the
 prefix. The modular (in norms) and the tail integrals here all go through it.
-It also owns ``pullback_tail``, the one construction of the tail law of
-f o phi, which every composition, conditional expectation included, reads.
+It also owns the operator itself: ``compose_apply`` evaluates f o phi as one
+gather over the map's prefix-image array, and ``pullback_tail`` builds its
+tail law. Every f o phi in the package, conditional expectation and the
+adjoint's density index included, is read through them.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ __all__ = [
     "PowerIndexLaw",
     "PairSwapLaw",
     "pullback_tail",
+    "compose_apply",
     "weighted_measure",
     "nonsingular_check",
     "radon_nikodym",
@@ -731,6 +734,21 @@ def pullback_tail(f: SimpleFunction, law: MapLaw) -> TailLaw:
     )
 
 
+def compose_apply(f: SimpleFunction, phi: "Transformation") -> SimpleFunction:
+    """(f o phi)(x) = f(phi(x)): one gather over phi's prefix-image array,
+    with f read directly at the images beyond the prefix; on countable spaces
+    the tail is the pullback of f's tail law under the map law."""
+    space = phi.space
+    if f.space != space:
+        raise ValueError("function and transformation live on different spaces")
+    idx = phi._target_index
+    vals = np.take(f.value_vector, idx, mode="clip").tolist()
+    # The index depth marks an image beyond the prefix (countable maps only).
+    for i in np.flatnonzero(idx == len(vals)).tolist():
+        vals[i] = f.value(phi.apply(i + 1))
+    return SimpleFunction(space, tuple(vals), None if space.is_finite else pullback_tail(f, phi.law))
+
+
 def _compose_laws(outer: "Transformation", inner_law: MapLaw) -> Optional[MapLaw]:
     """Law of x -> outer(inner(x)) on tail atoms, when expressible."""
     ol = outer.law
@@ -832,8 +850,16 @@ class Transformation:
 
     @cached_property
     def _target_index(self) -> np.ndarray:
-        """Finite maps: the index of phi(a) for every atom a, in atom order."""
-        return _read_only(list(map(self.space.index_of, self.targets)), np.intp)
+        """The prefix index of phi(a) for every prefix atom a, in atom order.
+        On countable spaces an image beyond the prefix is stored as depth, one
+        past the last index (``min`` keeps huge law images out of the array),
+        so only compose_apply reads the countable array: the marker must
+        never reach np.bincount."""
+        space = self.space
+        if space.is_finite:
+            return _read_only(list(map(space.index_of, self.targets)), np.intp)
+        m = space.depth
+        return _read_only([min(self.apply(n), m + 1) - 1 for n in range(1, m + 1)], np.intp)
 
     @cached_property
     def _fiber_mass(self) -> np.ndarray:
@@ -1409,9 +1435,7 @@ def conditional_expectation(f: SimpleFunction, partition) -> SimpleFunction:
     if isinstance(partition, FiberPartition):
         # E(f | phi^{-1} Sigma) is the fiber average read at phi(x).
         phi = partition.transformation
-        avg = fiber_average(f, phi)
-        vals = tuple(avg.value(phi.apply(a)) for a in space.prefix_ids())
-        return SimpleFunction(space, vals, None if space.is_finite else pullback_tail(avg, phi.law))
+        return compose_apply(fiber_average(f, phi), phi)
     raise TypeError(f"unsupported partition type {type(partition)!r}")
 
 

@@ -25,13 +25,15 @@ import numpy as np
 
 from .extreal import INF, xmul
 from .measure import (
+    ConstantWeights,
+    PowerLawWeights,
     SimpleFunction,
     _tail_integral_bounds,
     _tail_modular_bounds,
     _tail_signed_integral,
 )
 from .tails import ConstantTail, PatchedTail, SparseGeometricTail, UnresolvedTail, tail_product
-from .young import HardCap, YoungFunction
+from .young import HardCap, YoungFunction, delta2_probe
 
 __all__ = [
     "NormResult",
@@ -170,8 +172,6 @@ def _diverges_for_all_scalings(phi: YoungFunction, f: SimpleFunction) -> Optiona
     if isinstance(t, SparseGeometricTail) and t.coeff != 0.0:
         power = phi.as_power()
         if power is not None:
-            from .measure import PowerLawWeights, ConstantWeights
-
             law = space.law
             s = law.s if isinstance(law, PowerLawWeights) else (0.0 if isinstance(law, ConstantWeights) else None)
             if s is not None:
@@ -651,8 +651,6 @@ def convergence_check(
     """Executable form of the norm/modular convergence facts: norm convergence
     forces modular convergence; with the doubling condition, modular
     convergence plus pointwise convergence forces norm convergence."""
-    from .young import delta2_probe
-
     dists = tuple(luxemburg_norm(phi, fn.minus(f)).value for fn in fs)
     mods = tuple(modular(phi, fn) for fn in fs)
     mod_f = modular(phi, f)

@@ -357,8 +357,8 @@ def adjoint_checks(inst: Instance) -> list[CheckResult]:
             red_ok = False
     _check(out, inst.ident, "adjoint.bijective_reduction", red_ok)
     cons_ok = all(
-        rel_close(h_inv.value(a) * h.value(inst.perm.apply(a)), 1.0, 1e-10)
-        for a in inst.space.atoms
+        rel_close(hi * hp, 1.0, 1e-10)
+        for hi, hp in zip(h_inv.values, compop.compose_apply(h, inst.perm).values)
     )
     _check(out, inst.ident, "adjoint.inverse_derivative_consistency", cons_ok)
     psi = phi.conjugate()

@@ -399,3 +399,24 @@ class TestPowerFamilyEdges:
         rep = json.loads(capsys.readouterr().out)
         lux, orl = rep["luxemburg"]["value"], rep["orlicz"]["value"]
         assert lux <= orl * (1 + 1e-9) and orl <= 2 * lux * (1 + 1e-9)
+
+
+class TestEmptyScenarioPath:
+    """--scenario "" is a path that cannot be read, on every command that
+    takes a scenario, not a missing scenario."""
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "f"],
+        ["hderiv", "m"],
+        ["density", "m"],
+        ["domain", "f", "--map", "m"],
+        ["approximate", "f", "--map", "m"],
+        ["bounded", "m"],
+        ["lp-check", "--map", "m"],
+        ["adjoint-check", "--map", "m", "--function", "f", "--dual-function", "g"],
+    ], ids=lambda argv: argv[0])
+    def test_exit_2_cannot_read(self, argv):
+        proc = _cli(*argv, "--scenario", "")
+        assert proc.returncode == 2
+        assert "scenario error: cannot read scenario" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -1,7 +1,7 @@
-"""Finite maps as one target-index array: f o phi as a gather, fiber averages
-and conditional expectation as one bincount kernel, and the prefix scans of
-SimpleFunction as numpy reductions. Each is checked bit for bit against a
-per-atom reference loop."""
+"""Maps as one target-index array: f o phi as a gather on finite and countable
+spaces, fiber averages and conditional expectation on finite spaces as one
+bincount kernel, and the prefix scans of SimpleFunction as numpy reductions.
+Each is checked bit for bit against a per-atom reference loop."""
 
 import math
 import struct
@@ -12,15 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orlicz import (
+    CollapseLaw,
     ConstantTail,
+    ConstantWeights,
     CountableSpace,
+    DivCeilLaw,
+    FiberPartition,
     DomainStatus,
     FiniteSpace,
     GeometricTail,
     GeometricWeights,
+    IdentityLaw,
+    PairSwapLaw,
     Partition,
     PatchedTail,
     PowerAbs,
+    PowerIndexLaw,
+    PowerLawWeights,
     ShiftLaw,
     SimpleFunction,
     Transformation,
@@ -221,6 +229,108 @@ def test_compose_apply_countable_path_unchanged():
     got = compose_apply(f, phi)
     assert got.values == tuple(f.value(phi.apply(n)) for n in range(1, 9))
     assert got.value(20) == f.value(22)
+
+
+# ---------------------------------------------------------------------------
+# Countable maps: the same gather, images beyond the prefix read from f
+# ---------------------------------------------------------------------------
+
+
+COUNTABLE_WEIGHTS = {
+    "geometric": GeometricWeights(1.0, 0.5),
+    "power_law": PowerLawWeights(1.0, 2.0),
+    "constant": ConstantWeights(1.0),
+}
+COUNTABLE_LAWS = {
+    "identity": lambda m: IdentityLaw(),
+    "collapse:3": lambda m: CollapseLaw(3),
+    "collapse:depth+5": lambda m: CollapseLaw(m + 5),
+    "shift:2": lambda m: ShiftLaw(2),
+    "div_ceil:2": lambda m: DivCeilLaw(2),
+    "power_index:2": lambda m: PowerIndexLaw(2),
+    "pair_swap": lambda m: PairSwapLaw(),
+}
+COUNTABLE_OVERRIDES = {
+    "none": lambda m: {},
+    "{2: 5}": lambda m: {2: 5},
+    "{3: depth+3}": lambda m: {3: m + 3},
+}
+COUNTABLE_TAILS = {
+    "zero": lambda m: ZeroTail(),
+    "constant": lambda m: ConstantTail(-2.5),
+    "geometric": lambda m: GeometricTail(3.0, 0.7),
+    "patched": lambda m: PatchedTail(ConstantTail(1.25), ((m + 1, 7.0), (m + 3, -0.0), (m + 6, 4.5))),
+}
+
+
+def countable_function(space, tail):
+    """Distinct prefix values with both signed zeros, so a misplaced read
+    shows up in the bits."""
+    vals = tuple((-1.0) ** n * n / 3.0 for n in range(1, space.depth + 1))
+    vals = (0.0, -0.0) + vals[2:]
+    return SimpleFunction(space, vals, tail)
+
+
+def countable_grid():
+    for w in COUNTABLE_WEIGHTS:
+        for law in COUNTABLE_LAWS:
+            for depth in (9, 64):
+                yield pytest.param(w, law, depth, id=f"{w}-{law}-{depth}")
+
+
+@pytest.mark.parametrize("weights, law, depth", countable_grid())
+def test_countable_compose_apply_matches_per_atom_lookup(weights, law, depth):
+    space = CountableSpace(COUNTABLE_WEIGHTS[weights], depth)
+    tail_atoms = (depth + 1, depth + 2, depth + 3, depth + 6, 2 * depth + 1)
+    for overrides in COUNTABLE_OVERRIDES.values():
+        phi = Transformation.from_law(space, COUNTABLE_LAWS[law](depth), overrides(depth))
+        for tail in COUNTABLE_TAILS.values():
+            f = countable_function(space, tail(depth))
+            got = compose_apply(f, phi)
+            want = [f.value(phi.apply(n)) for n in range(1, depth + 1)]
+            assert bits(got.values) == bits(want)
+            assert all(type(v) is float for v in got.values)
+            tail_got = [got.value(n) for n in tail_atoms]
+            tail_want = [f.value(phi.apply(n)) for n in tail_atoms]
+            if isinstance(phi.law, ShiftLaw) and isinstance(f.tail, GeometricTail):
+                # The pullback's closed form coeff*r**k * r**n rounds apart
+                # from coeff * r**(n+k) in the last place.
+                assert all(map(lambda a, b: math.isclose(a, b, rel_tol=1e-15), tail_got, tail_want))
+            else:
+                assert bits(tail_got) == bits(tail_want)
+
+
+@pytest.mark.parametrize("weights, law, depth", countable_grid())
+def test_countable_conditional_expectation_is_fiber_average_at_phi(weights, law, depth):
+    space = CountableSpace(COUNTABLE_WEIGHTS[weights], depth)
+    tail_atoms = (depth + 1, depth + 2, depth + 5, 2 * depth + 1)
+    for overrides in COUNTABLE_OVERRIDES.values():
+        phi = Transformation.from_law(space, COUNTABLE_LAWS[law](depth), overrides(depth))
+        for tail in COUNTABLE_TAILS.values():
+            f = countable_function(space, tail(depth))
+            avg = fiber_average(f, phi)
+            want = [avg.value(phi.apply(n)) for n in range(1, depth + 1)]
+            got = conditional_expectation(f, FiberPartition(phi))
+            assert bits(got.values) == bits(want)
+            assert bits([got.value(n) for n in tail_atoms]) == \
+                bits([avg.value(phi.apply(n)) for n in tail_atoms])
+
+
+def test_countable_target_index_marks_images_beyond_the_prefix():
+    space = CountableSpace(GeometricWeights(1.0, 0.5), depth=6)
+    phi = Transformation.from_law(space, ShiftLaw(2), {1: 6, 2: 40})
+    assert phi._target_index.tolist() == [5, 6, 4, 5, 6, 6]
+    assert not phi._target_index.flags.writeable
+
+
+def test_iterated_power_index_image_array_does_not_overflow():
+    space = CountableSpace(PowerLawWeights(1.0, 2.0), depth=16)
+    phi = Transformation.from_law(space, PowerIndexLaw(2)).iterate(6)
+    assert phi.apply(16) == 16**64  # far beyond int64
+    assert phi._target_index.tolist() == [0] + [16] * 15
+    f = countable_function(space, GeometricTail(3.0, 0.7))
+    got = compose_apply(f, phi)
+    assert bits(got.values) == bits([f.value(phi.apply(n)) for n in range(1, 17)])
 
 
 # ---------------------------------------------------------------------------

@@ -673,15 +673,15 @@ class TestPowerConjugateRange:
         psi = phi.conjugate()
         assert isinstance(psi, ScaledPower)
         assert psi.p == p / (p - 1.0)
-        assert psi.coeff == pytest.approx(b, rel=1e-12)
+        assert psi.coeff == pytest.approx(b, rel=1e-12, abs=0.0)
         # Slopes y at x = t * c**(-1/p), where phi(x) = t**p: the maximizer
         # of x*y - phi(x) sits inside the oracle's grid at every scale.
         x_unit = c ** (-1.0 / p)
         for t in (0.5, 1.0, 2.0):
             y = c * p * (t * x_unit) ** (p - 1.0)
             oracle = numeric_conjugate(phi, y, x_hi=4.0 * x_unit)
-            assert oracle == pytest.approx((p - 1.0) * t**p, rel=1e-9)
-            assert psi(y) == pytest.approx(oracle, rel=1e-9)
+            assert oracle == pytest.approx((p - 1.0) * t**p, rel=1e-9, abs=0.0)
+            assert psi(y) == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("p", PS)
     @pytest.mark.parametrize("c", COEFFS)
@@ -693,13 +693,13 @@ class TestPowerConjugateRange:
             return  # out of range; test_against_numeric_legendre covers it
         back = psi.conjugate()
         assert back.p == pytest.approx(p, rel=1e-15)
-        assert back.coeff == pytest.approx(c, rel=1e-12)
+        assert back.coeff == pytest.approx(c, rel=1e-12, abs=0.0)
 
     def test_spurious_over_and_underflow(self):
         # (c*p)**(-q) overflows (resp. underflows) although the coefficient
         # 1/(4c) is a float.
-        assert ScaledPower(1e-200, 2.0).conjugate().coeff == pytest.approx(2.5e199, rel=1e-12)
-        assert ScaledPower(1e200, 2.0).conjugate().coeff == pytest.approx(2.5e-201, rel=1e-12)
+        assert ScaledPower(1e-200, 2.0).conjugate().coeff == pytest.approx(2.5e199, rel=1e-12, abs=0.0)
+        assert ScaledPower(1e200, 2.0).conjugate().coeff == pytest.approx(2.5e-201, rel=1e-12, abs=0.0)
 
     def test_direct_formula_kept_in_range(self):
         assert PowerAbs(2.0).conjugate() == ScaledPower(0.25, 2.0)
